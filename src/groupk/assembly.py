@@ -111,9 +111,14 @@ def surviving_low_degree(page: E2Page) -> list[SurvivingTerm]:
     degrees 0 and 1; (2,0) = H_2(G) survives by the same lemma's edge
     argument.  All four are cited facts, not computed ones.
     """
-    if page.max_total_degree < 2:
+    return _surviving_terms(page.max_total_degree)
+
+
+def _surviving_terms(max_total_degree: int) -> list[SurvivingTerm]:
+    """The quoted surviving positions for a page through `max_total_degree`."""
+    if max_total_degree < 2:
         raise InsufficientDegree(
-            f"page covers total degree {page.max_total_degree}, need >= 2"
+            f"page covers total degree {max_total_degree}, need >= 2"
         )
     return [
         SurvivingTerm(0, 0, LOW_DEGREE_SURVIVAL),
@@ -197,8 +202,7 @@ def certify_noninjectivity(
     """
     name = group_name or f"order-{G.order} group"
     h2 = integral_homology(G, 2, generator_limit=generator_limit)
-    page = e2_page(G, q, 2, generator_limit=generator_limit)
-    surviving = tuple(surviving_low_degree(page))
+    surviving = tuple(_surviving_terms(2))
     semisimple = is_semisimple(G, q)
     cited = [LOW_DEGREE_SURVIVAL, EDGE_SURVIVAL]
     if not semisimple:

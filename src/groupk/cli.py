@@ -168,6 +168,13 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="groupk", description=__doc__)
     parser.add_argument("--version", action="version", version=f"groupk {__version__}")
@@ -179,7 +186,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--group", required=True, help="group spec, e.g. C2xC2, D4, S3")
         if field:
             p.add_argument("--q", required=True, type=int, help="field size (prime power)")
-        p.add_argument("--max-degree", type=int, default=4, help="top degree (default 4)")
+        p.add_argument("--max-degree", type=nonnegative_int, default=4, help="top degree (default 4)")
         p.add_argument("--format", choices=("ascii", "json"), default="ascii")
         return p
 
@@ -191,9 +198,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _positive_env(name: str, default: int) -> int:
+    text = os.environ.get(name)
+    if text is None:
+        return default
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise GroupKError(f"{name} must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def _limits():
-    cap = int(os.environ.get("GROUPK_ORDER_CAP", DEFAULT_ORDER_CAP))
-    gen = int(os.environ.get("GROUPK_GENERATOR_LIMIT", DEFAULT_GENERATOR_LIMIT))
+    cap = _positive_env("GROUPK_ORDER_CAP", DEFAULT_ORDER_CAP)
+    gen = _positive_env("GROUPK_GENERATOR_LIMIT", DEFAULT_GENERATOR_LIMIT)
     return cap, gen
 
 

@@ -10,7 +10,7 @@ import itertools
 from dataclasses import dataclass
 
 from .abelian import FgAbelianGroup, from_presentation
-from .errors import NotAGroup, TooLarge
+from .errors import GroupKError, NotAGroup, TooLarge
 from .intlinalg import IntegerMatrix
 
 DEFAULT_ORDER_CAP = 64
@@ -347,8 +347,12 @@ def group_from_file(path, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     First line: the order m.  Then m lines of m whitespace-separated indices.
     Any further nonempty lines are element labels, one per line.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh]
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc.reason
+        raise GroupKError(f"cannot read table file {path!r}: {reason}") from None
     lines = [ln for ln in lines if ln]
     if not lines:
         raise NotAGroup("empty table file")

@@ -9,13 +9,13 @@ on its own.
 
 from __future__ import annotations
 
-import functools
 import itertools
 
+from . import intlinalg
 from .abelian import FgAbelianGroup, direct_sum_all, tensor, tor_product
 from .errors import InsufficientDegrees, TooLarge
 from .groups import FiniteGroup, cyclic
-from .intlinalg import IntegerMatrix, homology_of_pair
+from .intlinalg import IntegerMatrix, check_complex, homology_from_diagonals, homology_of_pair
 
 DEFAULT_DEGREE_CAP = 4
 DEFAULT_GENERATOR_LIMIT = 10**5
@@ -79,13 +79,44 @@ def bar_boundary(
     return IntegerMatrix(len(lower), (G.order - 1) ** n, entries, entry_limit=None)
 
 
-@functools.lru_cache(maxsize=None)
-def _integral_homology_cached(G: FiniteGroup, n: int, degree_cap: int, generator_limit: int) -> FgAbelianGroup:
-    if n == 0:
-        return FgAbelianGroup.free(1)
-    d_out = bar_boundary(G, n, degree_cap=degree_cap, generator_limit=generator_limit)
-    d_in = bar_boundary(G, n + 1, degree_cap=degree_cap, generator_limit=generator_limit)
-    return homology_of_pair(d_in, d_out)
+class _BarComplex:
+    """The normalized bar complex of one group; each boundary d_k is built and
+    Smith-reduced at most once.
+
+    Smith diagonals are kept for the life of the context.  A boundary matrix
+    is kept only while one of the two d^2 = 0 checks it takes part in is
+    still to run.
+    """
+
+    def __init__(self, G: FiniteGroup):
+        self.G = G
+        self.matrices: dict[int, IntegerMatrix] = {}
+        self.diagonals: dict[int, list[int]] = {}
+        self.checked = {0}  # k with d_k @ d_{k+1} = 0 verified; d_0 is zero
+
+    def homology(self, n: int, degree_cap: int, generator_limit: int) -> FgAbelianGroup:
+        """H_n for n >= 1; the caller has checked the guards for d_n and d_{n+1}."""
+        pair = (n, n + 1)
+        if n not in self.checked:
+            for k in pair:
+                if k not in self.matrices:
+                    self.matrices[k] = bar_boundary(
+                        self.G, k, degree_cap=degree_cap, generator_limit=generator_limit
+                    )
+            check_complex(self.matrices[n + 1], self.matrices[n])
+            self.checked.add(n)
+        for k in pair:
+            if k not in self.diagonals:
+                self.diagonals[k] = intlinalg.smith_diagonal(self.matrices[k])
+        for k in pair:
+            if k - 1 in self.checked and k in self.checked:
+                self.matrices.pop(k, None)
+        return homology_from_diagonals(
+            bar_basis_dimension(self.G, n), self.diagonals[n], self.diagonals[n + 1]
+        )
+
+
+_contexts: dict[FiniteGroup, _BarComplex] = {}
 
 
 def integral_homology(
@@ -95,12 +126,22 @@ def integral_homology(
     degree_cap: int = DEFAULT_DEGREE_CAP,
     generator_limit: int = DEFAULT_GENERATOR_LIMIT,
 ) -> FgAbelianGroup:
-    """H_n(G; Z) in canonical form."""
+    """H_n(G; Z) in canonical form.
+
+    The guards are checked on every call, before any memoised work is used.
+    """
     if n < 0:
         raise ValueError("homology degree must be >= 0")
     if n > degree_cap:
         raise TooLarge(f"degree {n} exceeds the degree cap {degree_cap}")
-    return _integral_homology_cached(G, n, degree_cap, generator_limit)
+    if n == 0:
+        return FgAbelianGroup.free(1)
+    for k in (n, n + 1):
+        _check_guards(G, k, degree_cap + 1, generator_limit)
+    context = _contexts.get(G)
+    if context is None:
+        context = _contexts[G] = _BarComplex(G)
+    return context.homology(n, degree_cap, generator_limit)
 
 
 def homology_with_coefficients(
@@ -164,4 +205,5 @@ def kunneth_oracle(hA, hB, n: int) -> FgAbelianGroup:
 
 
 def clear_homology_cache():
-    _integral_homology_cached.cache_clear()
+    """Drop every memoised boundary matrix, Smith diagonal and d^2 check."""
+    _contexts.clear()

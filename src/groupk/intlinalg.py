@@ -136,17 +136,19 @@ class SmithDecomposition:
     diagonal: tuple[int, ...]
 
 
-def _dense_diagonal(mat: list[list[int]]) -> list[int]:
-    """Diagonal of the Smith form of a dense row-list matrix, without transforms.
+def _dense_diagonal(mat: list[list[int]], U=None, V=None) -> list[int]:
+    """Smith diagonal of a dense row-list matrix, which is reduced in place to D.
 
+    With U and V given (row lists, identity to start), every row operation is
+    repeated on U and every column operation on V, so that U @ A @ V = D.
     Pivot rule: smallest nonzero absolute value, ties by lowest (row, col).
     """
     m = len(mat)
     n = len(mat[0]) if m else 0
-    diag = []
-    t = 0
-    while t < min(m, n):
-        # locate pivot in the trailing submatrix
+    track = U is not None
+
+    def pivot_to(t):
+        # move the smallest entry of the trailing submatrix to (t, t)
         best = None
         for i in range(t, m):
             row = mat[i]
@@ -157,65 +159,64 @@ def _dense_diagonal(mat: list[list[int]]) -> list[int]:
                     if best is None or key < best:
                         best = key
         if best is None:
-            break
+            return False
         _, pi, pj = best
-        mat[t], mat[pi] = mat[pi], mat[t]
+        for rows in (mat, U) if track else (mat,):
+            rows[t], rows[pi] = rows[pi], rows[t]
         if pj != t:
-            for row in mat:
+            for row in mat + V if track else mat:
                 row[t], row[pj] = row[pj], row[t]
+        return True
+
+    def add_row(src, dst, c):
+        mat[dst] = [a + c * b for a, b in zip(mat[dst], mat[src])]
+        if track:
+            U[dst] = [a + c * b for a, b in zip(U[dst], U[src])]
+
+    def add_col(src, dst, c, top):
+        for i in range(top, m):  # rows above `top` are zero in both columns
+            mat[i][dst] += c * mat[i][src]
+        if track:
+            for row in V:
+                row[dst] += c * row[src]
+
+    diag = []
+    for t in range(min(m, n)):
+        if not pivot_to(t):
+            break
         while True:
             if mat[t][t] < 0:
                 mat[t] = [-v for v in mat[t]]
+                if track:
+                    U[t] = [-v for v in U[t]]
             p = mat[t][t]
             dirty = False
             for i in range(t + 1, m):
                 if mat[i][t] != 0:
                     q = mat[i][t] // p
                     if q:
-                        row_t = mat[t]
-                        mat[i] = [a - q * b for a, b in zip(mat[i], row_t)]
+                        add_row(t, i, -q)
                     if mat[i][t] != 0:
                         dirty = True
             for j in range(t + 1, n):
                 if mat[t][j] != 0:
                     q = mat[t][j] // p
                     if q:
-                        for i in range(t, m):
-                            mat[i][j] -= q * mat[i][t]
+                        add_col(t, j, -q, t)
                     if mat[t][j] != 0:
                         dirty = True
             if dirty:
-                # a smaller remainder appeared; pick the new minimum as pivot
-                best = None
-                for i in range(t, m):
-                    for j in range(t, n):
-                        v = mat[i][j]
-                        if v != 0:
-                            key = (abs(v), i, j)
-                            if best is None or key < best:
-                                best = key
-                _, pi, pj = best
-                mat[t], mat[pi] = mat[pi], mat[t]
-                if pj != t:
-                    for row in mat:
-                        row[t], row[pj] = row[pj], row[t]
+                # a smaller remainder appeared; it becomes the new pivot
+                pivot_to(t)
                 continue
             # row and column are clear; enforce divisibility
-            p = mat[t][t]
-            offender = None
-            for i in range(t + 1, m):
-                row = mat[i]
-                for j in range(t + 1, n):
-                    if row[j] % p != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = next(
+                (i for i in range(t + 1, m) if any(v % p for v in mat[i][t + 1:])), None
+            )
             if offender is None:
                 break
-            mat[t] = [a + b for a, b in zip(mat[t], mat[offender])]
+            add_row(offender, t, 1)
         diag.append(mat[t][t])
-        t += 1
     diag += [0] * (min(m, n) - len(diag))
     return diag
 
@@ -315,96 +316,7 @@ def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
     mat = A.to_rows()
     U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def swap_rows(a, b):
-        if a != b:
-            mat[a], mat[b] = mat[b], mat[a]
-            U[a], U[b] = U[b], U[a]
-
-    def swap_cols(a, b):
-        if a != b:
-            for row in mat:
-                row[a], row[b] = row[b], row[a]
-            for row in V:
-                row[a], row[b] = row[b], row[a]
-
-    def add_row(src, dst, c):
-        # row dst += c * row src
-        mat[dst] = [a + c * b for a, b in zip(mat[dst], mat[src])]
-        U[dst] = [a + c * b for a, b in zip(U[dst], U[src])]
-
-    def add_col(src, dst, c):
-        for row in mat:
-            row[dst] += c * row[src]
-        for row in V:
-            row[dst] += c * row[src]
-
-    def negate_row(i):
-        mat[i] = [-v for v in mat[i]]
-        U[i] = [-v for v in U[i]]
-
-    def find_pivot(t):
-        best = None
-        for i in range(t, m):
-            row = mat[i]
-            for j in range(t, n):
-                v = row[j]
-                if v != 0:
-                    key = (abs(v), i, j)
-                    if best is None or key < best:
-                        best = key
-        return best
-
-    diag = []
-    t = 0
-    while t < min(m, n):
-        best = find_pivot(t)
-        if best is None:
-            break
-        _, pi, pj = best
-        swap_rows(t, pi)
-        swap_cols(t, pj)
-        while True:
-            if mat[t][t] < 0:
-                negate_row(t)
-            p = mat[t][t]
-            dirty = False
-            for i in range(t + 1, m):
-                if mat[i][t] != 0:
-                    q = mat[i][t] // p
-                    if q:
-                        add_row(t, i, -q)
-                    if mat[i][t] != 0:
-                        dirty = True
-            for j in range(t + 1, n):
-                if mat[t][j] != 0:
-                    q = mat[t][j] // p
-                    if q:
-                        add_col(t, j, -q)
-                    if mat[t][j] != 0:
-                        dirty = True
-            if dirty:
-                best = find_pivot(t)
-                _, pi, pj = best
-                swap_rows(t, pi)
-                swap_cols(t, pj)
-                continue
-            p = mat[t][t]
-            offender = None
-            for i in range(t + 1, m):
-                row = mat[i]
-                for j in range(t + 1, n):
-                    if row[j] % p != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            add_row(offender, t, 1)
-        diag.append(mat[t][t])
-        t += 1
-    diag += [0] * (min(m, n) - len(diag))
+    diag = _dense_diagonal(mat, U, V)
     return SmithDecomposition(
         U=IntegerMatrix.from_rows(U, entry_limit=None) if m else IntegerMatrix.zero(0, 0),
         D=IntegerMatrix.from_rows(mat, entry_limit=None) if m else IntegerMatrix.zero(0, n),
@@ -413,15 +325,8 @@ def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
     )
 
 
-def homology_of_pair(d_in: IntegerMatrix, d_out: IntegerMatrix) -> FgAbelianGroup:
-    """ker(d_out) / im(d_in) for a chain segment  C_{n+1} --d_in--> C_n --d_out--> C_{n-1}.
-
-    Requires d_out @ d_in = 0.  The kernel of d_out is a direct summand of the
-    middle lattice, so the invariant factors of d_in as a map into that kernel
-    equal its invariant factors into the full lattice; the quotient is then
-      Z^(dim C_n - rank d_out - rank d_in)  +  sum of Z/d over nonunit Smith
-    diagonal entries d of d_in.
-    """
+def check_complex(d_in: IntegerMatrix, d_out: IntegerMatrix) -> None:
+    """Raise unless  C_{n+1} --d_in--> C_n --d_out--> C_{n-1}  is a chain segment."""
     if d_out.cols != d_in.rows:
         raise ValueError(
             f"middle dimensions disagree: d_out has {d_out.cols} columns, "
@@ -429,10 +334,25 @@ def homology_of_pair(d_in: IntegerMatrix, d_out: IntegerMatrix) -> FgAbelianGrou
         )
     if not d_out.matmul(d_in).is_zero():
         raise NotAComplex("d_out @ d_in is not zero")
-    middle = d_out.cols
-    r_out = rank(d_out)
-    diag_in = smith_diagonal(d_in)
-    r_in = sum(1 for d in diag_in if d != 0)
-    free = middle - r_out - r_in
-    torsion = tuple(d for d in diag_in if d > 1)
-    return FgAbelianGroup(free, torsion)
+
+
+def homology_from_diagonals(middle: int, diag_out, diag_in) -> FgAbelianGroup:
+    """ker(d_out) / im(d_in) from the Smith diagonals of a checked chain segment.
+
+    The kernel of d_out is a direct summand of the middle lattice, so the
+    invariant factors of d_in as a map into that kernel equal its invariant
+    factors into the full lattice; the quotient is then
+      Z^(middle - rank d_out - rank d_in)  +  sum of Z/d over nonunit Smith
+    diagonal entries d of d_in.
+    """
+    free = middle - sum(1 for d in diag_out if d != 0) - sum(1 for d in diag_in if d != 0)
+    return FgAbelianGroup(free, tuple(d for d in diag_in if d > 1))
+
+
+def homology_of_pair(d_in: IntegerMatrix, d_out: IntegerMatrix) -> FgAbelianGroup:
+    """ker(d_out) / im(d_in) for a chain segment  C_{n+1} --d_in--> C_n --d_out--> C_{n-1}.
+
+    Requires d_out @ d_in = 0; raises NotAComplex otherwise.
+    """
+    check_complex(d_in, d_out)
+    return homology_from_diagonals(d_out.cols, smith_diagonal(d_out), smith_diagonal(d_in))

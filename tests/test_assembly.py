@@ -10,7 +10,7 @@ from groupk.assembly import (
     surviving_low_degree,
 )
 from groupk.errors import InsufficientDegree
-from groupk.groups import cyclic, direct_product
+from groupk.groups import cyclic, direct_product, symmetric
 from groupk.kfield import k_finite_field, validate_prime_power
 
 Z = FgAbelianGroup.free(1)
@@ -74,6 +74,12 @@ class TestCertificate:
         assert cert.d == 4
         assert cert.k2_group_ring == trivial
         assert cert.witness["degree"] == 2
+
+    @pytest.mark.parametrize("group", [C2xC2, symmetric(3)], ids=["C2xC2", "S3"])
+    def test_reduces_d2_and_d3_once(self, group, smith_calls):
+        certify_noninjectivity(group, Q5)
+        m = group.order - 1
+        assert smith_calls == [(m, m**2), (m**2, m**3)]
 
     def test_characteristic_divides_order(self):
         cert = certify_noninjectivity(C2xC2, validate_prime_power(2))

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import time
 
 import pytest
 
@@ -81,6 +82,42 @@ class TestExitCodes:
     def test_usage_error_is_one(self):
         code, _, err = invoke(["certify", "--group", "C2xC2"])
         assert code == 1
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("argv", [
+        ["kfield", "--q", "3"],
+        ["homology", "--group", "C2"],
+        ["wedderburn", "--group", "C2", "--q", "3"],
+        ["e2page", "--group", "C2", "--q", "3"],
+        ["certify", "--group", "C2", "--q", "3"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_max_degree(self, argv):
+        code, out, err = invoke(argv + ["--max-degree", "-1"])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "--max-degree" in err
+
+    @pytest.mark.parametrize("name", ["GROUPK_ORDER_CAP", "GROUPK_GENERATOR_LIMIT"])
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", ""])
+    def test_bad_limit_variable(self, monkeypatch, name, value):
+        monkeypatch.setenv(name, value)
+        code, out, err = invoke(["homology", "--group", "C2", "--max-degree", "1"])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and name in err
+
+    def test_missing_table_file(self, tmp_path):
+        path = tmp_path / "missing.txt"
+        code, out, err = invoke(["homology", "--group", f"table:{path}"])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and str(path) in err
+
+    def test_large_prime_in_bounded_time(self):
+        q = 2**61 - 1
+        start = time.perf_counter()
+        code, out, _ = invoke(["kfield", "--q", str(q), "--max-degree", "1"])
+        assert time.perf_counter() - start < 2.0
+        assert code == 0
+        assert out.splitlines()[1] == f"K_1(F_{q}) = Z/{q - 1}"
 
 
 class TestOutputs:

@@ -1,16 +1,30 @@
+import io
+from collections import Counter
+
 import pytest
 
+from groupk import homology
 from groupk.abelian import FgAbelianGroup
+from groupk.cli import run
 from groupk.errors import InsufficientDegrees, TooLarge
-from groupk.groups import abelianization, cyclic, dihedral, direct_product, symmetric
+from groupk.groups import (
+    abelianization,
+    cyclic,
+    dihedral,
+    direct_product,
+    permutation_closure,
+    symmetric,
+)
 from groupk.homology import (
     bar_boundary,
+    clear_homology_cache,
     cyclic_homology_oracle,
     cyclic_homology_sequence,
     homology_with_coefficients,
     integral_homology,
     kunneth_oracle,
 )
+from groupk.intlinalg import homology_of_pair
 
 Z = FgAbelianGroup.free(1)
 trivial = FgAbelianGroup.trivial()
@@ -73,6 +87,65 @@ class TestIntegralHomology:
         for g in [cyclic(6), symmetric(3), symmetric(4), dihedral(4),
                   direct_product(cyclic(2), cyclic(4))]:
             assert integral_homology(g, 1) == abelianization(g)
+
+
+def boundary_shape(order, k):
+    return ((order - 1) ** (k - 1), (order - 1) ** k)
+
+
+# every builder group of order <= 8, Q8 as a permutation closure
+SMALL_GROUPS = {
+    **{f"C{n}": cyclic(n) for n in range(1, 9)},
+    "C2xC2": direct_product(cyclic(2), cyclic(2)),
+    "C2xC4": direct_product(cyclic(2), cyclic(4)),
+    "C2xC2xC2": direct_product(cyclic(2), direct_product(cyclic(2), cyclic(2))),
+    "D2": dihedral(2), "D3": dihedral(3), "D4": dihedral(4), "S3": symmetric(3),
+    "Q8": permutation_closure([(1, 2, 3, 0, 5, 6, 7, 4), (4, 7, 6, 5, 2, 1, 0, 3)]),
+}
+
+
+class TestBarComplexContext:
+    def test_homology_reduces_each_boundary_once(self, smith_calls):
+        code = run(["homology", "--group", "C2xC2", "--max-degree", "4"], io.StringIO(), io.StringIO())
+        assert code == 0
+        assert Counter(smith_calls) == {boundary_shape(4, k): 1 for k in range(1, 6)}
+
+    @pytest.mark.parametrize("name", SMALL_GROUPS)
+    def test_matches_homology_of_pair(self, name):
+        group = SMALL_GROUPS[name]
+        clear_homology_cache()
+        for n in range(1, 4):
+            direct = homology_of_pair(bar_boundary(group, n + 1), bar_boundary(group, n))
+            assert integral_homology(group, n) == direct
+
+    def test_guards_hold_after_memoised_work(self):
+        g = cyclic(3)
+        clear_homology_cache()
+        assert integral_homology(g, 3, degree_cap=4) == C(3)
+        with pytest.raises(TooLarge, match="degree 3 exceeds the degree cap 2"):
+            integral_homology(g, 3, degree_cap=2)
+        with pytest.raises(TooLarge, match="degree 4 has 16 generators, over the limit 15"):
+            integral_homology(g, 3, generator_limit=15)
+        with pytest.raises(TooLarge, match="degree 3 has 8 generators, over the limit 7"):
+            integral_homology(g, 3, generator_limit=7)
+        assert integral_homology(g, 3, generator_limit=16) == C(3)
+
+    def test_clear_cache_starts_cold(self, smith_calls, monkeypatch):
+        built = []
+        real = homology.bar_boundary
+
+        def counting(G, k, **kwargs):
+            built.append(k)
+            return real(G, k, **kwargs)
+
+        monkeypatch.setattr(homology, "bar_boundary", counting)
+        g = cyclic(4)
+        for _ in range(2):
+            assert integral_homology(g, 2) == trivial
+        assert built == [2, 3] and len(smith_calls) == 2
+        clear_homology_cache()
+        assert integral_homology(g, 2) == trivial
+        assert built == [2, 3, 2, 3] and len(smith_calls) == 4
 
 
 class TestCyclicOracle:

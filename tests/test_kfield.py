@@ -20,6 +20,22 @@ class TestValidatePrimePower:
         with pytest.raises(NotAPrimePower):
             validate_prime_power(q)
 
+    @pytest.mark.parametrize("q,p,e", [
+        (2**61 - 1, 2**61 - 1, 1),
+        (2**64 - 59, 2**64 - 59, 1),  # the largest prime below the guard
+        (2**64, 2, 64),
+        (4294967291**2, 4294967291, 2),
+        (3**40, 3, 40),
+    ])
+    def test_valid_near_guard(self, q, p, e):
+        assert validate_prime_power(q) == PrimePower(q, p, e)
+
+    # 3825123056546413051 is a strong pseudoprime to every prime base up to 23
+    @pytest.mark.parametrize("q", [3825123056546413051, 2**64 - 1, 4294967291 * 4294967279])
+    def test_invalid_near_guard(self, q):
+        with pytest.raises(NotAPrimePower, match="not a prime power"):
+            validate_prime_power(q)
+
     def test_too_small(self):
         with pytest.raises(NotAPrimePower):
             validate_prime_power(1)
