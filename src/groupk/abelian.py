@@ -12,51 +12,24 @@ import math
 from dataclasses import dataclass, field
 
 
-def _factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division; inputs here are small."""
-    assert n >= 1
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def invariant_factors_from_orders(orders) -> tuple[int, ...]:
     """Canonical divisibility chain for a direct sum of cyclic groups Z/m.
 
-    Orders equal to 1 are dropped.  Works via the primary decomposition:
-    for each prime, sort its exponents descending and recombine so that
-    factor k collects the k-th largest power of every prime.
+    Orders equal to 1 are dropped.  No factoring is needed: replacing a pair
+    by Z/gcd(a, b) + Z/lcm(a, b) keeps the group, and after one sweep over
+    all pairs each position divides every later one.
     """
-    by_prime: dict[int, list[int]] = {}
+    fs = []
     for m in orders:
-        if m == 1:
-            continue
         if m < 1:
             raise ValueError(f"cyclic order must be >= 1, got {m}")
-        for p, e in _factorize(m).items():
-            by_prime.setdefault(p, []).append(e)
-    if not by_prime:
-        return ()
-    for exps in by_prime.values():
-        exps.sort(reverse=True)
-    length = max(len(exps) for exps in by_prime.values())
-    factors = []
-    for k in range(length):
-        f = 1
-        for p, exps in by_prime.items():
-            if k < len(exps):
-                f *= p ** exps[k]
-        factors.append(f)
-    # factor k divides factor k-1 by construction; present ascending
-    factors.reverse()
-    return tuple(factors)
+        if m > 1:
+            fs.append(m)
+    for i in range(len(fs)):
+        for j in range(i + 1, len(fs)):
+            g = math.gcd(fs[i], fs[j])
+            fs[i], fs[j] = g, fs[i] // g * fs[j]
+    return tuple(f for f in fs if f > 1)
 
 
 @dataclass(frozen=True)
@@ -135,17 +108,11 @@ def from_presentation(relations) -> FgAbelianGroup:
     """
     from . import intlinalg
 
-    diag = intlinalg.smith_diagonal(relations)
-    nonzero = [d for d in diag if d != 0]
-    free = relations.cols - len(nonzero)
-    return FgAbelianGroup(free, tuple(d for d in nonzero if d > 1))
+    return intlinalg.homology_from_diagonals(relations.cols, (), intlinalg.smith_diagonal(relations))
 
 
 def direct_sum(a: FgAbelianGroup, b: FgAbelianGroup) -> FgAbelianGroup:
-    return FgAbelianGroup.from_orders(
-        a.free_rank + b.free_rank,
-        list(a.invariant_factors) + list(b.invariant_factors),
-    )
+    return direct_sum_all((a, b))
 
 
 def direct_sum_all(groups) -> FgAbelianGroup:

@@ -137,7 +137,7 @@ def group_from_table(table, labels=None) -> FiniteGroup:
 
 def _check_cap(order: int, order_cap: int):
     if order > order_cap:
-        raise TooLarge(f"group of order {order} exceeds the order cap {order_cap}")
+        raise TooLarge(f"group of order {order} exceeds the order cap {order_cap} (GROUPK_ORDER_CAP)")
 
 
 def cyclic(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
@@ -232,7 +232,7 @@ def permutation_closure(generators, *, order_cap: int = DEFAULT_ORDER_CAP) -> Fi
                 if q not in seen:
                     if len(elements) + len(new) + 1 > order_cap:
                         raise TooLarge(
-                            f"permutation closure exceeds the order cap {order_cap}"
+                            f"permutation closure exceeds the order cap {order_cap} (GROUPK_ORDER_CAP)"
                         )
                     seen.add(q)
                     new.append(q)

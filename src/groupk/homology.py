@@ -31,7 +31,7 @@ def _check_guards(G, n, degree_cap, generator_limit):
     if bar_basis_dimension(G, n) > generator_limit:
         raise TooLarge(
             f"bar basis in degree {n} has {bar_basis_dimension(G, n)} generators, "
-            f"over the limit {generator_limit}"
+            f"over the limit {generator_limit} (GROUPK_GENERATOR_LIMIT)"
         )
 
 
@@ -116,7 +116,7 @@ class _BarComplex:
         )
 
 
-_contexts: dict[FiniteGroup, _BarComplex] = {}
+_context: _BarComplex | None = None  # the last group's complex; one group at a time
 
 
 def integral_homology(
@@ -138,10 +138,10 @@ def integral_homology(
         return FgAbelianGroup.free(1)
     for k in (n, n + 1):
         _check_guards(G, k, degree_cap + 1, generator_limit)
-    context = _contexts.get(G)
-    if context is None:
-        context = _contexts[G] = _BarComplex(G)
-    return context.homology(n, degree_cap, generator_limit)
+    global _context
+    if _context is None or _context.G != G:
+        _context = _BarComplex(G)
+    return _context.homology(n, degree_cap, generator_limit)
 
 
 def homology_with_coefficients(
@@ -206,4 +206,5 @@ def kunneth_oracle(hA, hB, n: int) -> FgAbelianGroup:
 
 def clear_homology_cache():
     """Drop every memoised boundary matrix, Smith diagonal and d^2 check."""
-    _contexts.clear()
+    global _context
+    _context = None

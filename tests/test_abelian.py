@@ -13,7 +13,7 @@ from groupk.abelian import (
 )
 from groupk.intlinalg import IntegerMatrix
 
-from oracles import abelian_group_profile
+from oracles import abelian_group_profile, minor_gcd
 
 Z = FgAbelianGroup.free(1)
 trivial = FgAbelianGroup.trivial()
@@ -54,6 +54,38 @@ class TestCanonicalForm:
     def test_json_roundtrip(self):
         g = FgAbelianGroup(3, (2, 6))
         assert FgAbelianGroup.from_json(g.to_json()) == g
+
+
+# products of powers of 2, 3 and 5, so the orders in one list share primes
+prime_power_products = st.builds(
+    lambda a, b, c: 2**a * 3**b * 5**c,
+    st.integers(0, 4), st.integers(0, 3), st.integers(0, 2),
+)
+
+
+def diagonal(orders):
+    return [[m if i == j else 0 for j in range(len(orders))] for i, m in enumerate(orders)]
+
+
+class TestCanonicalFormDifferential:
+    @given(st.lists(prime_power_products, max_size=4))
+    def test_matches_determinantal_divisors(self, orders):
+        rows = diagonal(orders)
+        minors = [minor_gcd(rows, k) for k in range(len(orders) + 1)]
+        chain = tuple(d for d in (minors[k] // minors[k - 1] for k in range(1, len(minors))) if d > 1)
+        assert FgAbelianGroup.from_orders(0, orders) == FgAbelianGroup(0, chain)
+
+    @given(st.lists(prime_power_products, min_size=1, max_size=4))
+    def test_matches_smith_path(self, orders):
+        relations = IntegerMatrix.from_rows(diagonal(orders))
+        assert FgAbelianGroup.from_orders(0, orders) == from_presentation(relations)
+
+    def test_orders_near_q_cubed_for_64_bit_q(self):
+        q = 18446744073709551557  # the largest prime below 2^64
+        orders = [q**3 - 1, q**2 - 1, q - 1, q**3 + 1, (q - 1) * (q**3 - 1)]
+        factors = FgAbelianGroup.from_orders(0, orders).invariant_factors
+        assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+        assert math.prod(factors) == math.prod(orders)
 
 
 class TestFromPresentation:

@@ -119,6 +119,29 @@ class TestInputErrors:
         assert code == 0
         assert out.splitlines()[1] == f"K_1(F_{q}) = Z/{q - 1}"
 
+    def test_64_bit_prime_e2page_in_bounded_time(self):
+        q = 18446744073709551557  # the largest prime below 2^64
+        start = time.perf_counter()
+        code, out, _ = invoke(
+            ["e2page", "--group", "C2", "--q", str(q), "--max-degree", "3", "--format", "json"]
+        )
+        assert time.perf_counter() - start < 2.0
+        assert code == 0
+        entries = {(e["p"], e["q"]): e["group"] for e in json.loads(out)["entries"]}
+        # K_1 = Z/(q-1), K_3 = Z/(q^2-1); H_1(C2; Z/(q-1)) = Z/gcd(2, q-1) as q is odd
+        assert entries[(0, 1)] == {"free_rank": 0, "invariant_factors": [q - 1]}
+        assert entries[(0, 3)] == {"free_rank": 0, "invariant_factors": [q**2 - 1]}
+        assert entries[(1, 1)] == {"free_rank": 0, "invariant_factors": [2]}
+
+    @pytest.mark.parametrize("argv, name", [
+        (["certify", "--group", "C2xC24", "--q", "5"], "GROUPK_GENERATOR_LIMIT"),
+        (["homology", "--group", "C100", "--max-degree", "2"], "GROUPK_ORDER_CAP"),
+    ])
+    def test_size_guard_names_its_variable(self, argv, name):
+        code, out, err = invoke(argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and name in err
+
 
 class TestOutputs:
     def test_kfield_ascii_q2(self):

@@ -147,6 +147,15 @@ class TestBarComplexContext:
         assert integral_homology(g, 2) == trivial
         assert built == [2, 3, 2, 3] and len(smith_calls) == 4
 
+    def test_another_group_replaces_the_context(self, smith_calls):
+        g, h = cyclic(4), cyclic(3)
+        for group in (g, h, g):
+            assert integral_homology(group, 2) == trivial
+        assert Counter(smith_calls) == {
+            boundary_shape(4, 2): 2, boundary_shape(4, 3): 2,
+            boundary_shape(3, 2): 1, boundary_shape(3, 3): 1,
+        }
+
 
 class TestCyclicOracle:
     def test_pattern(self):
