@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .abelian import FgAbelianGroup, direct_sum, from_presentation, tensor, tor_product
 from .errors import (
     GroupKError,
-    InsufficientDegree,
     InsufficientDegrees,
     NotAbelian,
     NotAComplex,

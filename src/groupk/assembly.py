@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .abelian import FgAbelianGroup
-from .errors import InsufficientDegree
+from .errors import InsufficientDegrees
 from .groups import FiniteGroup
 from .grouprings import component_count, is_semisimple, k_group_ring
 from .homology import (
@@ -117,7 +117,7 @@ def surviving_low_degree(page: E2Page) -> list[SurvivingTerm]:
 def _surviving_terms(max_total_degree: int) -> list[SurvivingTerm]:
     """The quoted surviving positions for a page through `max_total_degree`."""
     if max_total_degree < 2:
-        raise InsufficientDegree(
+        raise InsufficientDegrees(
             f"page covers total degree {max_total_degree}, need >= 2"
         )
     return [

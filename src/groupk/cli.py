@@ -70,6 +70,7 @@ def _parse_permutations(body: str, offset: int):
     pos = offset
     for gtext in gens_text:
         cycles = []
+        moved: set[int] = set()
         consumed = _CYCLE_RE.sub("", gtext).strip()
         if consumed:
             raise ParseError(
@@ -88,6 +89,12 @@ def _parse_permutations(body: str, offset: int):
                 raise ParseError(
                     f"repeated point in cycle {m.group(0)!r}", position=pos + m.start()
                 )
+            if moved.intersection(cyc):
+                raise ParseError(
+                    f"cycle {m.group(0)!r} shares a point with an earlier cycle",
+                    position=pos + m.start(),
+                )
+            moved.update(cyc)
             cycles.append(cyc)
             points.update(cyc)
         perms.append(cycles)
@@ -272,8 +279,7 @@ def run(argv, stdout=None, stderr=None) -> int:
                 emit(f"semisimple: {str(summary.semisimple).lower()}")
                 if summary.semisimple:
                     emit(f"d: {summary.d}")
-                    if summary.field_degrees is not None:
-                        emit(f"field_degrees: {list(summary.field_degrees)}")
+                    emit(f"field_degrees: {list(summary.field_degrees)}")
                     emit(f"method: {summary.method}")
             return 0
 

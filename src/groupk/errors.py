@@ -37,10 +37,6 @@ class InsufficientDegrees(GroupKError):
     """A homology sequence does not extend far enough for the request."""
 
 
-# A single missing degree is the same failure mode.
-InsufficientDegree = InsufficientDegrees
-
-
 class ParseError(GroupKError):
     """A textual spec could not be parsed."""
 

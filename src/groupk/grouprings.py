@@ -1,9 +1,10 @@
 """Semisimple structure of F_q[G]: Maschke check, component count, K-groups.
 
-The number of simple components is the number of q-classes (conjugacy merged
-with the q-power map); for abelian groups the orbit sizes of x -> x^q give
-the degrees of the component fields, from which odd K-groups of the group
-algebra follow by Morita invariance and the finite-field K-theory formula.
+Frobenius permutes the conjugacy classes by C -> C^q.  Each orbit is one
+q-class and one simple component of F_q[G], and by Brauer's permutation
+lemma the orbit length is the degree of that component's centre over F_q.
+This holds for every G, so odd K-groups of the group algebra follow from
+Morita invariance and the finite-field K-theory formula.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 from .abelian import FgAbelianGroup, direct_sum_all
 from .errors import NotAbelian, NotSemisimple
-from .groups import FiniteGroup
+from .groups import FiniteGroup, conjugacy_classes
 from .kfield import PrimePower
 
 
@@ -44,90 +45,64 @@ def _require_semisimple(G, q):
         )
 
 
-def q_classes(G: FiniteGroup, q: PrimePower) -> list[list[int]]:
-    """Partition of G under x ~ g x^(q^m) g^{-1}.
+def _frobenius_orbits(G: FiniteGroup, q: PrimePower) -> list[list[tuple[int, ...]]]:
+    """The conjugacy classes grouped by walking C -> C^q until a class repeats.
 
-    The relation is generated by conjugation together with the q-power map,
-    so a breadth-first closure over both suffices.
+    When p does not divide |G| the map is a permutation and the groups are its
+    orbits.  Otherwise each walk stops at the first class already seen, so a
+    class joins the group of the first class, in order, that reaches it.
     """
-    n = G.order
-    seen = [False] * n
-    classes = []
-    for x in range(n):
-        if seen[x]:
-            continue
-        block = []
-        frontier = [x]
-        seen[x] = True
-        while frontier:
-            y = frontier.pop()
-            block.append(y)
-            nbrs = {G.conj(g, y) for g in range(n)}
-            nbrs.add(G.power(y, q.q))
-            for z in nbrs:
-                if not seen[z]:
-                    seen[z] = True
-                    frontier.append(z)
-        classes.append(sorted(block))
-    return classes
+    cc = conjugacy_classes(G)
+    class_of = {x: k for k, c in enumerate(cc.classes) for x in c}
+    image = [class_of[G.power(r, q.q)] for r in cc.representatives]
+    seen = [False] * len(cc)
+    orbits = []
+    for k in range(len(cc)):
+        orbit = []
+        while not seen[k]:
+            seen[k] = True
+            orbit.append(cc.classes[k])
+            k = image[k]
+        if orbit:
+            orbits.append(orbit)
+    return orbits
+
+
+def q_classes(G: FiniteGroup, q: PrimePower) -> list[list[int]]:
+    """Partition of G under x ~ g x^(q^m) g^{-1}: one block per Frobenius orbit."""
+    return [sorted(x for c in orbit for x in c) for orbit in _frobenius_orbits(G, q)]
 
 
 def component_count(G: FiniteGroup, q: PrimePower) -> int:
     """Number of simple components of F_q[G] (Berman's q-class count)."""
     _require_semisimple(G, q)
-    return len(q_classes(G, q))
+    return len(_frobenius_orbits(G, q))
 
 
-def _power_orbits(G: FiniteGroup, q: PrimePower) -> list[list[int]]:
-    n = G.order
-    seen = [False] * n
-    orbits = []
-    for x in range(n):
-        if seen[x]:
-            continue
-        orbit = []
-        y = x
-        while not seen[y]:
-            seen[y] = True
-            orbit.append(y)
-            y = G.power(y, q.q)
-        orbits.append(orbit)
-    return orbits
-
-
-def abelian_wedderburn(G: FiniteGroup, q: PrimePower) -> WedderburnSummary:
-    """Component fields of F_q[G] for abelian G.
-
-    The orbits of x -> x^q partition G; each orbit of size f contributes one
-    component field with q^f elements, and the sizes sum to |G|.
-    """
-    if not G.is_abelian():
-        raise NotAbelian("field degrees are only computed for abelian groups")
-    _require_semisimple(G, q)
-    degrees = tuple(sorted(len(o) for o in _power_orbits(G, q)))
+def wedderburn_summary(G: FiniteGroup, q: PrimePower) -> WedderburnSummary:
+    """Component count and sorted component field degrees over F_q, for any G."""
+    if not is_semisimple(G, q):
+        return WedderburnSummary(semisimple=False, d=0, field_degrees=None, method="q-classes")
+    degrees = tuple(sorted(len(o) for o in _frobenius_orbits(G, q)))
     return WedderburnSummary(
         semisimple=True, d=len(degrees), field_degrees=degrees, method="q-classes"
     )
 
 
-def wedderburn_summary(G: FiniteGroup, q: PrimePower) -> WedderburnSummary:
-    """Component count for any G; field degrees included when G is abelian."""
-    if not is_semisimple(G, q):
-        return WedderburnSummary(semisimple=False, d=0, field_degrees=None, method="q-classes")
-    if G.is_abelian():
-        return abelian_wedderburn(G, q)
-    return WedderburnSummary(
-        semisimple=True, d=component_count(G, q), field_degrees=None, method="q-classes"
-    )
+def abelian_wedderburn(G: FiniteGroup, q: PrimePower) -> WedderburnSummary:
+    """wedderburn_summary for an abelian G with F_q[G] semisimple."""
+    if not G.is_abelian():
+        raise NotAbelian("abelian_wedderburn needs an abelian group; use wedderburn_summary")
+    _require_semisimple(G, q)
+    return wedderburn_summary(G, q)
 
 
-def k_group_ring(G: FiniteGroup, q: PrimePower, n: int) -> FgAbelianGroup | None:
+def k_group_ring(G: FiniteGroup, q: PrimePower, n: int) -> FgAbelianGroup:
     """K_n(F_q[G]) for semisimple F_q[G].
 
     Morita invariance reduces each matrix component to its field, so even
-    positive and all negative degrees vanish and K_0 is Z^d.  Odd degrees
-    need the component field sizes, which are only computed for abelian G;
-    nonabelian odd cases return None (unknown) rather than a guess.
+    positive and all negative degrees vanish, K_0 is Z^d, and K_(2i-1) is
+    the sum of Z/(q^(i f) - 1) over the component field degrees f.
     """
     _require_semisimple(G, q)
     if n < 0:
@@ -136,10 +111,8 @@ def k_group_ring(G: FiniteGroup, q: PrimePower, n: int) -> FgAbelianGroup | None
         return FgAbelianGroup.free(component_count(G, q))
     if n % 2 == 0:
         return FgAbelianGroup.trivial()
-    if not G.is_abelian():
-        return None
     i = (n + 1) // 2
-    degrees = abelian_wedderburn(G, q).field_degrees
+    degrees = wedderburn_summary(G, q).field_degrees
     return direct_sum_all(
         FgAbelianGroup.cyclic(q.q ** (i * f) - 1) for f in degrees
     )

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .abelian import FgAbelianGroup
-from .errors import NotAPrimePower
+from .errors import NotAPrimePower, TooLarge
 
 _Q_GUARD = 2**64
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -83,4 +84,10 @@ def k_finite_field(q: PrimePower, n: int) -> FgAbelianGroup:
     if n % 2 == 0:
         return FgAbelianGroup.trivial()
     i = (n + 1) // 2
-    return FgAbelianGroup.cyclic(q.q**i - 1)
+    order = q.q**i - 1
+    # str() of an int with more digits than this limit raises (0: no limit);
+    # 10^limit > 2^(3 limit), so an order that short never builds 10^limit.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and order.bit_length() > 3 * limit and order >= 10**limit:
+        raise TooLarge(f"K_{n}(F_{q.q}) has order q^{i} - 1, over {limit} digits")
+    return FgAbelianGroup.cyclic(order)

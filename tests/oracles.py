@@ -179,3 +179,158 @@ def conjugacy_class_sizes_symmetric(n):
         seen |= orbit
         sizes.append(len(orbit))
     return sorted(sizes)
+
+
+def _table_classes(table):
+    """Conjugacy classes of a multiplication table (identity at index 0)."""
+    n = len(table)
+    inv = [row.index(0) for row in table]
+    class_of = [None] * n
+    classes = []
+    for x in range(n):
+        if class_of[x] is None:
+            orbit = sorted({table[table[g][x]][inv[g]] for g in range(n)})
+            for y in orbit:
+                class_of[y] = len(classes)
+            classes.append(orbit)
+    return classes, class_of, inv
+
+
+def _table_power(table, x, k):
+    y = 0
+    for _ in range(k):
+        y = table[y][x]
+    return y
+
+
+def q_class_blocks(table, q):
+    """Closure of each element, in order, under conjugation and x -> x^q,
+    minus what earlier blocks took; element by element."""
+    n = len(table)
+    inv = [row.index(0) for row in table]
+    seen = [False] * n
+    blocks = []
+    for x in range(n):
+        if seen[x]:
+            continue
+        block, frontier = [], [x]
+        seen[x] = True
+        while frontier:
+            y = frontier.pop()
+            block.append(y)
+            nbrs = {table[table[g][y]][inv[g]] for g in range(n)}
+            nbrs.add(_table_power(table, y, q))
+            for z in nbrs:
+                if not seen[z]:
+                    seen[z] = True
+                    frontier.append(z)
+        blocks.append(sorted(block))
+    return blocks
+
+
+def power_orbit_sizes(table, q):
+    """Sorted orbit sizes of x -> x^q on the elements (a permutation when
+    gcd(q, |G|) = 1); for abelian G, the component field degrees."""
+    n = len(table)
+    seen = [False] * n
+    sizes = []
+    for x in range(n):
+        size = 0
+        while not seen[x]:
+            seen[x] = True
+            size += 1
+            x = _table_power(table, x, q)
+        if size:
+            sizes.append(size)
+    return tuple(sorted(sizes))
+
+
+def _rank_mod_p(rows, p):
+    rows = [[v % p for v in r] for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        rows[rank] = [v * inv % p for v in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                c = rows[r][col]
+                rows[r] = [(a - c * b) % p for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _mobius(n):
+    result, m, d = 1, n, 2
+    while d * d <= m:
+        if m % d == 0:
+            m //= d
+            if m % d == 0:
+                return 0
+            result = -result
+        d += 1
+    return -result if m > 1 else result
+
+
+def centre_field_degrees(table, q):
+    """Degrees over F_q of the component fields of F_q[G], |G| prime to q,
+    read off the centre Z(F_p[G]) alone.
+
+    The class sums K_1..K_h are a basis of the centre, with K_i K_j =
+    sum_k c_ijk K_k mod p.  The centre is commutative of characteristic p, so
+    z -> z^p is F_p-linear; call its matrix F.  The centre is a product of
+    fields F_{p^a_j}, so D(k) = dim ker(F^k - 1) = sum_j gcd(a_j, k).  With
+    A(d) = #{j : d | a_j} this is D(k) = sum_{d | k} phi(d) A(d), inverted by
+    Moebius; the number of a_j equal to f is sum_m mu(m) A(m f).  Over F_q,
+    q = p^e, each F_{p^a} splits into gcd(a, e) fields of degree a/gcd(a, e).
+    """
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    e = round(math.log(q, p))
+    assert p**e == q and len(table) % p != 0
+    classes, class_of, inv = _table_classes(table)
+    h = len(classes)
+    # c[k][(i, j)]: pairs (x, y) in C_i x C_j with x y the representative of C_k
+    c = []
+    for cls in classes:
+        z = cls[0]
+        counts = {}
+        for x in range(len(table)):
+            key = (class_of[x], class_of[table[inv[x]][z]])
+            counts[key] = counts.get(key, 0) + 1
+        c.append(counts)
+
+    def mul(u, v):
+        return [sum(n * u[i] * v[j] for (i, j), n in ck.items()) % p for ck in c]
+
+    def unit(i):
+        return [int(k == i) for k in range(h)]
+
+    columns = []
+    for i in range(h):
+        z = unit(i)
+        for _ in range(p - 1):
+            z = mul(z, unit(i))
+        columns.append(z)
+    F = [[columns[j][i] for j in range(h)] for i in range(h)]
+    D = {}
+    Fk = [unit(i) for i in range(h)]
+    for k in range(1, h + 1):
+        Fk = [[sum(Fk[i][m] * F[m][j] for m in range(h)) % p for j in range(h)] for i in range(h)]
+        D[k] = h - _rank_mod_p([[Fk[i][j] - (i == j) for j in range(h)] for i in range(h)], p)
+    A = {}
+    for k in range(1, h + 1):
+        total = sum(_mobius(k // d) * D[d] for d in range(1, k + 1) if k % d == 0)
+        phi = sum(1 for r in range(1, k + 1) if math.gcd(r, k) == 1)
+        assert total % phi == 0
+        A[k] = total // phi
+    degrees = []
+    for f in range(1, h + 1):
+        count = sum(_mobius(m) * A[m * f] for m in range(1, h // f + 1))
+        degrees += [f] * count
+    assert sum(degrees) == h
+    return tuple(sorted(
+        a // math.gcd(a, e) for a in degrees for _ in range(math.gcd(a, e))
+    ))

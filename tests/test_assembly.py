@@ -9,7 +9,7 @@ from groupk.assembly import (
     e2_page,
     surviving_low_degree,
 )
-from groupk.errors import InsufficientDegree
+from groupk.errors import InsufficientDegrees
 from groupk.groups import cyclic, direct_product, symmetric
 from groupk.kfield import k_finite_field, validate_prime_power
 
@@ -62,7 +62,7 @@ class TestSurvivingLowDegree:
 
     def test_insufficient_degree(self):
         page = e2_page(C2xC2, Q5, 1)
-        with pytest.raises(InsufficientDegree):
+        with pytest.raises(InsufficientDegrees):
             surviving_low_degree(page)
 
 

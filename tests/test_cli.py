@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import sys
 import time
 
 import pytest
@@ -9,6 +10,17 @@ from groupk.cli import parse_group_spec, run
 from groupk.errors import ParseError
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+@pytest.fixture
+def default_digit_limit():
+    """The interpreter's default int-to-str limit of 4300 digits, for one test."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter converts ints of any length to str")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
 
 
 def invoke(argv):
@@ -133,6 +145,33 @@ class TestInputErrors:
         assert entries[(0, 3)] == {"free_rank": 0, "invariant_factors": [q**2 - 1]}
         assert entries[(1, 1)] == {"free_rank": 0, "invariant_factors": [2]}
 
+    @pytest.mark.parametrize("spec, position", [
+        ("perm:(1 2)(1 3)", 10),
+        ("perm:(1 2 3)(3 4)", 12),
+    ])
+    def test_overlapping_cycles(self, spec, position):
+        code, out, err = invoke(["homology", "--group", spec, "--max-degree", "1"])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and f"(at position {position})" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--q", "18446744073709551557", "--max-degree", "447"],
+        ["--q", "18446744073709551557", "--max-degree", "447", "--format", "json"],
+        ["--q", "2", "--max-degree", "30000"],
+    ])
+    def test_k_group_order_too_long_to_print(self, argv, default_digit_limit):
+        start = time.perf_counter()
+        code, out, err = invoke(["kfield"] + argv)
+        assert time.perf_counter() - start < 2.0
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and f"F_{argv[1]}" in err
+
+    def test_longest_printable_k_group_order(self, default_digit_limit):
+        # q^223 - 1 has 4297 digits, under the limit of 4300
+        code, out, _ = invoke(["kfield", "--q", "18446744073709551557", "--max-degree", "445"])
+        assert code == 0
+        assert len(out.splitlines()[-1].split("Z/")[1]) == 4297
+
     @pytest.mark.parametrize("argv, name", [
         (["certify", "--group", "C2xC24", "--q", "5"], "GROUPK_GENERATOR_LIMIT"),
         (["homology", "--group", "C100", "--max-degree", "2"], "GROUPK_ORDER_CAP"),
@@ -195,6 +234,15 @@ class TestOutputs:
         assert json.loads(out) == {
             "semisimple": True, "d": 2, "method": "q-classes", "field_degrees": [1, 2],
         }
+
+    def test_wedderburn_nonabelian_field_degrees(self):
+        code, out, _ = invoke(
+            ["wedderburn", "--group", "perm:(1 2 3 4 5 6 7);(2 3 5)(4 7 6)", "--q", "2"]
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "semisimple: true", "d: 4", "field_degrees: [1, 1, 1, 2]", "method: q-classes",
+        ]
 
     def test_homology_ascii(self):
         code, out, _ = invoke(["homology", "--group", "S3", "--max-degree", "3"])

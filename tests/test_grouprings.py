@@ -3,9 +3,11 @@ import math
 import pytest
 
 from groupk.abelian import FgAbelianGroup
+from groupk.cli import parse_group_spec
 from groupk.errors import NotAbelian, NotSemisimple
 from groupk.groups import conjugacy_classes, cyclic, dihedral, direct_product, symmetric
 from groupk.grouprings import (
+    WedderburnSummary,
     abelian_wedderburn,
     component_count,
     is_semisimple,
@@ -15,7 +17,13 @@ from groupk.grouprings import (
 )
 from groupk.kfield import validate_prime_power
 
-from oracles import character_orbit_count, cyclotomic_coset_count
+from oracles import (
+    centre_field_degrees,
+    character_orbit_count,
+    cyclotomic_coset_count,
+    power_orbit_sizes,
+    q_class_blocks,
+)
 
 Z = FgAbelianGroup.free(1)
 trivial = FgAbelianGroup.trivial()
@@ -130,7 +138,11 @@ class TestAbelianWedderburn:
 
     def test_summary_nonabelian(self):
         w = wedderburn_summary(symmetric(3), Q5)
-        assert w.semisimple and w.d == 3 and w.field_degrees is None
+        assert w.semisimple and w.d == 3 and w.field_degrees == (1, 1, 1)
+
+    def test_summary_not_semisimple(self):
+        w = wedderburn_summary(symmetric(3), Q3)
+        assert w == WedderburnSummary(False, 0, None, "q-classes")
 
 
 class TestKGroupRing:
@@ -145,8 +157,9 @@ class TestKGroupRing:
         # order 1 and 3
         assert k_group_ring(cyclic(3), Q2, 1) == FgAbelianGroup.cyclic(3)
 
-    def test_nonabelian_odd_unknown(self):
-        assert k_group_ring(symmetric(3), Q5, 3) is None
+    def test_nonabelian_odd_exact(self):
+        # F_5[S3] = F_5 x F_5 x M_2(F_5), so K_3 = K_3(F_5)^3 = (Z/24)^3
+        assert k_group_ring(symmetric(3), Q5, 3) == FgAbelianGroup.from_orders(0, [24, 24, 24])
 
     def test_not_semisimple(self):
         with pytest.raises(NotSemisimple):
@@ -172,3 +185,54 @@ class TestKGroupRing:
                 degs = abelian_wedderburn(g, q).field_degrees
                 expected = math.prod(q.q**f - 1 for f in degs)
                 assert k_group_ring(g, q, 1).cardinality() == expected
+
+
+ORACLE_GROUPS = {
+    spec: parse_group_spec(spec).build()
+    for spec in (
+        "C1", "C6", "C12", "C2xC4", "C3xC3", "S3", "D4", "D5", "D6",
+        "perm:(1 2 3 4)(5 6 7 8);(1 5 3 7)(2 8 4 6)",  # Q8
+        "perm:(1 2 3);(2 3 4)",  # A4
+        "S4",
+        "perm:(1 2 3 4 5 6 7);(2 3 5)(4 7 6)",  # C7 x| C3
+        "perm:(1 2 3 4 5);(1 2 3)",  # A5
+        "D16",
+    )
+}
+ORACLE_QS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 31, 49, 121)
+
+
+class TestFrobeniusOrbits:
+    def test_oracle_covers_enough_pairs(self):
+        semisimple = [
+            (g, q) for g in ORACLE_GROUPS.values() for q in ORACLE_QS
+            if g.order % validate_prime_power(q).p
+        ]
+        assert len(semisimple) >= 100
+
+    @pytest.mark.parametrize("spec", ORACLE_GROUPS)
+    def test_against_centre_and_element_closure(self, spec):
+        g = ORACLE_GROUPS[spec]
+        for q in ORACLE_QS:
+            qp = validate_prime_power(q)
+            assert q_classes(g, qp) == q_class_blocks(g.table, q)
+            if is_semisimple(g, qp):
+                assert wedderburn_summary(g, qp).field_degrees == centre_field_degrees(g.table, q)
+
+    def test_abelian_degrees_are_power_orbit_sizes(self):
+        for name, g in ABELIAN_TEST_GROUPS:
+            for q in (Q2, Q3, Q5):
+                if is_semisimple(g, q):
+                    assert abelian_wedderburn(g, q).field_degrees == power_orbit_sizes(g.table, q.q)
+
+    @pytest.mark.parametrize("spec, q, degrees", [
+        # squaring fixes both classes of order 7 and swaps the two of order 3:
+        # F_2[G] = F_2 x F_4 x M_3(F_2)^2
+        ("perm:(1 2 3 4 5 6 7);(2 3 5)(4 7 6)", 2, (1, 1, 1, 2)),
+        # 7 = 2 mod 5 swaps the two classes of 5-cycles
+        ("perm:(1 2 3 4 5);(1 2 3)", 7, (1, 1, 1, 2)),
+        ("S3", 5, (1, 1, 1)),
+    ])
+    def test_worked_values(self, spec, q, degrees):
+        w = wedderburn_summary(ORACLE_GROUPS[spec], validate_prime_power(q))
+        assert w.field_degrees == degrees and w.d == len(degrees)

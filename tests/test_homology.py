@@ -2,6 +2,7 @@ import io
 from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from groupk import homology
 from groupk.abelian import FgAbelianGroup
@@ -87,6 +88,18 @@ class TestIntegralHomology:
         for g in [cyclic(6), symmetric(3), symmetric(4), dihedral(4),
                   direct_product(cyclic(2), cyclic(4))]:
             assert integral_homology(g, 1) == abelianization(g)
+
+    @settings(deadline=None)
+    @given(st.integers(1, 6).flatmap(
+        lambda k: st.lists(st.permutations(range(k)), min_size=1, max_size=3)
+    ))
+    def test_h1_equals_abelianization_on_random_closures(self, gens):
+        # bar d_1 and d_2 on one side, G/[G,G] and its Smith presentation on the other
+        try:
+            g = permutation_closure(gens)
+        except TooLarge:
+            assume(False)
+        assert integral_homology(g, 1) == abelianization(g)
 
 
 def boundary_shape(order, k):
