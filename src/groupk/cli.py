@@ -187,20 +187,21 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"groupk {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, *, group=False, field=False):
+    def add(name, help_text, *, group=False, field=False, degrees=False):
         p = sub.add_parser(name, help=help_text)
         if group:
             p.add_argument("--group", required=True, help="group spec, e.g. C2xC2, D4, S3")
         if field:
             p.add_argument("--q", required=True, type=int, help="field size (prime power)")
-        p.add_argument("--max-degree", type=nonnegative_int, default=4, help="top degree (default 4)")
+        if degrees:
+            p.add_argument("--max-degree", type=nonnegative_int, default=4, help="top degree (default 4)")
         p.add_argument("--format", choices=("ascii", "json"), default="ascii")
         return p
 
-    add("kfield", "K-groups of a finite field", field=True)
-    add("homology", "integral homology of a finite group", group=True)
+    add("kfield", "K-groups of a finite field", field=True, degrees=True)
+    add("homology", "integral homology of a finite group", group=True, degrees=True)
     add("wedderburn", "semisimple structure of F_q[G]", group=True, field=True)
-    add("e2page", "Atiyah-Hirzebruch E^2 page of H_*(BG; K(F))", group=True, field=True)
+    add("e2page", "Atiyah-Hirzebruch E^2 page of H_*(BG; K(F))", group=True, field=True, degrees=True)
     add("certify", "non-injectivity certificate for the assembly map", group=True, field=True)
     return parser
 

@@ -235,18 +235,24 @@ def smith_diagonal(A: IntegerMatrix) -> list[int]:
         rows.setdefault(i, {})[j] = v
         colidx.setdefault(j, set()).add(i)
 
-    def fill_score(i, j):
-        return (len(rows[i]) - 1) * (len(colidx[j]) - 1)
+    # A heap key packs (score, row, column) into one int that sorts as the
+    # tuple would: score << 2s | row << s | column, each index below 2**s.
+    s = max(A.rows, A.cols).bit_length()
+    s2, mask = 2 * s, (1 << s) - 1
 
-    heap: list[tuple[int, int, int]] = []
+    def fill_score(i, j):
+        return ((len(rows[i]) - 1) * (len(colidx[j]) - 1)) << s2 | i << s | j
+
+    heap: list[int] = []
     for i in sorted(rows):
         for j, v in rows[i].items():
             if v in (1, -1):
-                heapq.heappush(heap, (fill_score(i, j), i, j))
+                heapq.heappush(heap, fill_score(i, j))
 
     ones = 0
     while heap:
-        s, i, j = heapq.heappop(heap)
+        key = heapq.heappop(heap)
+        i, j = key >> s & mask, key & mask
         row = rows.get(i)
         if row is None:
             continue
@@ -254,8 +260,8 @@ def smith_diagonal(A: IntegerMatrix) -> list[int]:
         if v not in (1, -1):
             continue
         cur = fill_score(i, j)
-        if cur > s and heap and heap[0][0] < cur:
-            heapq.heappush(heap, (cur, i, j))
+        if cur > key and heap and heap[0] >> s2 < cur >> s2:
+            heapq.heappush(heap, cur)
             continue
         # eliminate the pivot: clear column j by row operations, drop row i / col j
         prow = rows.pop(i)
@@ -279,7 +285,7 @@ def smith_diagonal(A: IntegerMatrix) -> list[int]:
                         colidx[jj].add(r)
                     rrow[jj] = nv
                     if nv in (1, -1):
-                        heapq.heappush(heap, (fill_score(r, jj), r, jj))
+                        heapq.heappush(heap, fill_score(r, jj))
             if not rrow:
                 del rows[r]
         colidx.pop(j, None)

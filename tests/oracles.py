@@ -4,6 +4,7 @@ Everything here is deliberately naive: exhaustive enumeration, cofactor
 determinants, minor gcds.  None of it shares code paths with the package.
 """
 
+import heapq
 import itertools
 import math
 
@@ -334,3 +335,65 @@ def centre_field_degrees(table, q):
     return tuple(sorted(
         a // math.gcd(a, e) for a in degrees for _ in range(math.gcd(a, e))
     ))
+
+
+def unit_pivot_phase(entries):
+    """Reference for the unit-pivot phase of Smith reduction: the tuple-heap
+    elimination with a (score, row, column) key, score = fill estimate.
+
+    `entries` maps (row, column) to a nonzero int.  Returns the number of unit
+    pivots eliminated and the leftover rows, dense over the surviving columns
+    (both in increasing order); None when no column survives.
+    """
+    rows, colidx = {}, {}
+    for (i, j), v in entries.items():
+        rows.setdefault(i, {})[j] = v
+        colidx.setdefault(j, set()).add(i)
+
+    def score(i, j):
+        return (len(rows[i]) - 1) * (len(colidx[j]) - 1)
+
+    heap = []
+    for i in sorted(rows):
+        for j, v in rows[i].items():
+            if v in (1, -1):
+                heapq.heappush(heap, (score(i, j), i, j))
+    ones = 0
+    while heap:
+        s, i, j = heapq.heappop(heap)
+        if i not in rows or rows[i].get(j) not in (1, -1):
+            continue
+        v = rows[i][j]
+        cur = score(i, j)
+        if cur > s and heap and heap[0][0] < cur:
+            heapq.heappush(heap, (cur, i, j))
+            continue
+        prow = rows.pop(i)
+        for jj in prow:
+            colidx[jj].discard(i)
+        for r in sorted(colidx.get(j, ())):
+            rrow = rows[r]
+            f = rrow.pop(j) * v
+            for jj, w in prow.items():
+                if jj == j:
+                    continue
+                nv = rrow.get(jj, 0) - f * w
+                if nv == 0:
+                    if jj in rrow:
+                        del rrow[jj]
+                        colidx[jj].discard(r)
+                else:
+                    if jj not in rrow:
+                        colidx[jj].add(r)
+                    rrow[jj] = nv
+                    if nv in (1, -1):
+                        heapq.heappush(heap, (score(r, jj), r, jj))
+            if not rrow:
+                del rows[r]
+        colidx.pop(j, None)
+        ones += 1
+    left = sorted(rows)
+    cols = sorted({j for r in left for j in rows[r]})
+    if not cols:
+        return ones, None
+    return ones, [[rows[r].get(j, 0) for j in cols] for r in left]

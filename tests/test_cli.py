@@ -100,14 +100,22 @@ class TestInputErrors:
     @pytest.mark.parametrize("argv", [
         ["kfield", "--q", "3"],
         ["homology", "--group", "C2"],
-        ["wedderburn", "--group", "C2", "--q", "3"],
         ["e2page", "--group", "C2", "--q", "3"],
-        ["certify", "--group", "C2", "--q", "3"],
     ], ids=lambda argv: argv[0])
     def test_negative_max_degree(self, argv):
         code, out, err = invoke(argv + ["--max-degree", "-1"])
         assert code == 1 and out == ""
         assert err.startswith("error:") and "--max-degree" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["wedderburn", "--group", "S3", "--q", "5"],
+        ["certify", "--group", "S3", "--q", "5"],
+    ], ids=lambda argv: argv[0])
+    def test_max_degree_not_accepted(self, argv):
+        # these commands read no degree bound, so they take no --max-degree
+        code, out, err = invoke(argv + ["--max-degree", "0"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: unrecognized arguments: --max-degree 0")
 
     @pytest.mark.parametrize("name", ["GROUPK_ORDER_CAP", "GROUPK_GENERATOR_LIMIT"])
     @pytest.mark.parametrize("value", ["abc", "0", "-3", ""])

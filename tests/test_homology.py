@@ -1,4 +1,6 @@
+import functools
 import io
+import math
 from collections import Counter
 
 import pytest
@@ -182,6 +184,15 @@ class TestCyclicOracle:
             assert cyclic_homology_oracle(1, n) == trivial
 
 
+@st.composite
+def cyclic_orders(draw):
+    """1 to 3 cyclic orders whose product is at most 12."""
+    orders = [draw(st.integers(1, 12))]
+    for _ in range(draw(st.integers(0, 2))):
+        orders.append(draw(st.integers(1, 12 // math.prod(orders))))
+    return orders
+
+
 class TestKunnethOracle:
     def test_z2_squared_degree2(self):
         h = cyclic_homology_sequence(2, 3)
@@ -208,6 +219,18 @@ class TestKunnethOracle:
         hb = cyclic_homology_sequence(b, 3)
         for n in range(4):
             assert integral_homology(g, n) == kunneth_oracle(ha, hb, n)
+
+    @settings(deadline=None)
+    @given(cyclic_orders())
+    def test_bar_engine_matches_kunneth_on_random_products(self, orders):
+        # 1 to 3 cyclic factors of product <= 12: boundaries up to 121 x 1331
+        g = functools.reduce(direct_product, map(cyclic, orders))
+        h = cyclic_homology_sequence(orders[0], 2)
+        for m in orders[1:]:
+            hm = cyclic_homology_sequence(m, 2)
+            h = [kunneth_oracle(h, hm, n) for n in range(3)]
+        for n in (1, 2):
+            assert integral_homology(g, n) == h[n]
 
 
 class TestCoefficients:

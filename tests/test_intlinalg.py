@@ -2,8 +2,11 @@ import random
 
 import pytest
 
+from groupk import intlinalg
 from groupk.abelian import FgAbelianGroup
 from groupk.errors import NotAComplex, TooLarge
+from groupk.groups import cyclic, dihedral, direct_product, symmetric
+from groupk.homology import bar_boundary
 from groupk.intlinalg import (
     IntegerMatrix,
     homology_of_pair,
@@ -12,7 +15,7 @@ from groupk.intlinalg import (
     smith_normal_form,
 )
 
-from oracles import det, minor_gcd
+from oracles import det, minor_gcd, unit_pivot_phase
 
 
 def assert_snf_invariants(mat_rows):
@@ -81,6 +84,63 @@ class TestSmithNormalForm:
             n = rng.randrange(1, 5)
             rows = [[rng.randrange(-10, 11) for _ in range(n)] for _ in range(m)]
             assert_snf_invariants(rows)
+
+
+@pytest.fixture
+def same_pivots(monkeypatch):
+    """Check smith_diagonal(A) against the reference unit-pivot phase: the same
+    matrix reaches the dense tail and the same diagonal comes out."""
+    seen = []
+    real = intlinalg._dense_diagonal
+
+    def capture(mat, *args):
+        handed = [row[:] for row in mat]
+        out = real(mat, *args)
+        seen.append((handed, out))
+        return out
+
+    monkeypatch.setattr(intlinalg, "_dense_diagonal", capture)
+
+    def check(A):
+        seen.clear()
+        diag = smith_diagonal(A)
+        ones, dense = unit_pivot_phase(A._data)
+        assert [handed for handed, _ in seen] == ([] if dense is None else [dense])
+        tail = [d for _, out in seen for d in out if d != 0]
+        assert diag == [1] * ones + tail + [0] * (min(A.rows, A.cols) - ones - len(tail))
+
+    return check
+
+
+PIVOT_GROUPS = {
+    **{f"C{m}": cyclic(m) for m in range(2, 9)},
+    "C2xC2": direct_product(cyclic(2), cyclic(2)),
+    "C2xC4": direct_product(cyclic(2), cyclic(4)),
+    "C2xC2xC2": direct_product(direct_product(cyclic(2), cyclic(2)), cyclic(2)),
+    "S3": symmetric(3),
+    "D4": dihedral(4),
+}
+# rows and columns on both sides of a power of two, so the key width changes
+EDGE_SIZES = (0, 1, 2, 3, 4, 7, 8, 9, 15, 16, 17)
+
+
+class TestUnitPivotPhase:
+    @pytest.mark.parametrize("name", sorted(PIVOT_GROUPS))
+    def test_bar_boundaries_match_reference(self, name, same_pivots):
+        for n in range(1, 5):
+            same_pivots(bar_boundary(PIVOT_GROUPS[name], n))
+
+    def test_random_sparse_match_reference(self, same_pivots):
+        rng = random.Random(8)
+        values = (1, -1, 1, -1, 2, -2, 3, -5, 6)
+        for _ in range(2000):
+            m, n = rng.choice(EDGE_SIZES), rng.choice(EDGE_SIZES)
+            density = rng.uniform(0.05, 0.6)
+            entries = {
+                (i, j): rng.choice(values)
+                for i in range(m) for j in range(n) if rng.random() < density
+            }
+            same_pivots(IntegerMatrix(m, n, entries))
 
 
 class TestRank:
