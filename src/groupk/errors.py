@@ -40,7 +40,9 @@ class InsufficientDegrees(GroupKError):
 class ParseError(GroupKError):
     """A textual spec could not be parsed."""
 
-    def __init__(self, message, position=0, expected=None):
-        super().__init__(f"{message} (at position {position})")
+    def __init__(self, message, position=None, expected=None):
+        if position is not None:
+            message = f"{message} (at position {position})"
+        super().__init__(message)
         self.position = position
         self.expected = expected or []

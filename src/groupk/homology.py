@@ -80,37 +80,26 @@ def bar_boundary(
 
 
 class _BarComplex:
-    """The normalized bar complex of one group; each boundary d_k is built and
-    Smith-reduced at most once.
+    """The normalized bar complex of one group, built upward from d_1 as
+    degrees are asked for; each boundary d_k is built, checked against
+    d_{k-1} and Smith-reduced once.
 
-    Smith diagonals are kept for the life of the context.  A boundary matrix
-    is kept only while one of the two d^2 = 0 checks it takes part in is
-    still to run.
+    Only the top boundary is kept, for the next d^2 = 0 check;
+    diagonals[k] is the Smith diagonal of d_k, where d_0 is the zero map.
     """
 
     def __init__(self, G: FiniteGroup):
         self.G = G
-        self.matrices: dict[int, IntegerMatrix] = {}
-        self.diagonals: dict[int, list[int]] = {}
-        self.checked = {0}  # k with d_k @ d_{k+1} = 0 verified; d_0 is zero
+        self.top = IntegerMatrix.zero(0, 1)
+        self.diagonals: list[list[int]] = [[]]
 
     def homology(self, n: int, degree_cap: int, generator_limit: int) -> FgAbelianGroup:
         """H_n for n >= 1; the caller has checked the guards for d_n and d_{n+1}."""
-        pair = (n, n + 1)
-        if n not in self.checked:
-            for k in pair:
-                if k not in self.matrices:
-                    self.matrices[k] = bar_boundary(
-                        self.G, k, degree_cap=degree_cap, generator_limit=generator_limit
-                    )
-            check_complex(self.matrices[n + 1], self.matrices[n])
-            self.checked.add(n)
-        for k in pair:
-            if k not in self.diagonals:
-                self.diagonals[k] = intlinalg.smith_diagonal(self.matrices[k])
-        for k in pair:
-            if k - 1 in self.checked and k in self.checked:
-                self.matrices.pop(k, None)
+        for k in range(len(self.diagonals), n + 2):
+            d = bar_boundary(self.G, k, degree_cap=degree_cap, generator_limit=generator_limit)
+            check_complex(d, self.top)
+            self.top = d  # frees d_{k-1} before d_k is reduced
+            self.diagonals.append(intlinalg.smith_diagonal(d))
         return homology_from_diagonals(
             bar_basis_dimension(self.G, n), self.diagonals[n], self.diagonals[n + 1]
         )
@@ -205,6 +194,6 @@ def kunneth_oracle(hA, hB, n: int) -> FgAbelianGroup:
 
 
 def clear_homology_cache():
-    """Drop every memoised boundary matrix, Smith diagonal and d^2 check."""
+    """Drop the memoised chain: its top boundary and its Smith diagonals."""
     global _context
     _context = None

@@ -105,7 +105,7 @@ class TestInputErrors:
     def test_negative_max_degree(self, argv):
         code, out, err = invoke(argv + ["--max-degree", "-1"])
         assert code == 1 and out == ""
-        assert err.startswith("error:") and "--max-degree" in err
+        assert err == "error: argument --max-degree: must be >= 0, got -1\n"
 
     @pytest.mark.parametrize("argv", [
         ["wedderburn", "--group", "S3", "--q", "5"],
@@ -115,7 +115,8 @@ class TestInputErrors:
         # these commands read no degree bound, so they take no --max-degree
         code, out, err = invoke(argv + ["--max-degree", "0"])
         assert code == 1 and out == ""
-        assert err.startswith("error: unrecognized arguments: --max-degree 0")
+        # a usage error has no position in a spec to point at
+        assert err == "error: unrecognized arguments: --max-degree 0\n"
 
     @pytest.mark.parametrize("name", ["GROUPK_ORDER_CAP", "GROUPK_GENERATOR_LIMIT"])
     @pytest.mark.parametrize("value", ["abc", "0", "-3", ""])

@@ -1,5 +1,6 @@
 import functools
 import io
+import itertools
 import math
 from collections import Counter
 
@@ -108,6 +109,20 @@ def boundary_shape(order, k):
     return ((order - 1) ** (k - 1), (order - 1) ** k)
 
 
+@pytest.fixture
+def built(monkeypatch):
+    """Degrees of the boundaries the homology engine builds."""
+    degrees = []
+    real = homology.bar_boundary
+
+    def counting(G, k, **kwargs):
+        degrees.append(k)
+        return real(G, k, **kwargs)
+
+    monkeypatch.setattr(homology, "bar_boundary", counting)
+    return degrees
+
+
 # every builder group of order <= 8, Q8 as a permutation closure
 SMALL_GROUPS = {
     **{f"C{n}": cyclic(n) for n in range(1, 9)},
@@ -125,14 +140,6 @@ class TestBarComplexContext:
         assert code == 0
         assert Counter(smith_calls) == {boundary_shape(4, k): 1 for k in range(1, 6)}
 
-    @pytest.mark.parametrize("name", SMALL_GROUPS)
-    def test_matches_homology_of_pair(self, name):
-        group = SMALL_GROUPS[name]
-        clear_homology_cache()
-        for n in range(1, 4):
-            direct = homology_of_pair(bar_boundary(group, n + 1), bar_boundary(group, n))
-            assert integral_homology(group, n) == direct
-
     def test_guards_hold_after_memoised_work(self):
         g = cyclic(3)
         clear_homology_cache()
@@ -145,30 +152,37 @@ class TestBarComplexContext:
             integral_homology(g, 3, generator_limit=7)
         assert integral_homology(g, 3, generator_limit=16) == C(3)
 
-    def test_clear_cache_starts_cold(self, smith_calls, monkeypatch):
-        built = []
-        real = homology.bar_boundary
+    @pytest.mark.parametrize("name", SMALL_GROUPS)
+    def test_matches_homology_of_pair(self, name, built, smith_calls):
+        # in every request order, from cold: d_1 .. d_4 built and reduced once each
+        group = SMALL_GROUPS[name]
+        direct = {n: homology_of_pair(bar_boundary(group, n + 1), bar_boundary(group, n))
+                  for n in (1, 2, 3)}
+        for order in itertools.permutations(direct):
+            clear_homology_cache()
+            built.clear()
+            smith_calls.clear()
+            for n in order:
+                assert integral_homology(group, n) == direct[n]
+            assert built == [1, 2, 3, 4]
+            assert smith_calls == [boundary_shape(group.order, k) for k in range(1, 5)]
 
-        def counting(G, k, **kwargs):
-            built.append(k)
-            return real(G, k, **kwargs)
-
-        monkeypatch.setattr(homology, "bar_boundary", counting)
+    def test_clear_cache_starts_cold(self, built, smith_calls):
         g = cyclic(4)
         for _ in range(2):
             assert integral_homology(g, 2) == trivial
-        assert built == [2, 3] and len(smith_calls) == 2
+        assert built == [1, 2, 3] and len(smith_calls) == 3
         clear_homology_cache()
         assert integral_homology(g, 2) == trivial
-        assert built == [2, 3, 2, 3] and len(smith_calls) == 4
+        assert built == [1, 2, 3, 1, 2, 3] and len(smith_calls) == 6
 
     def test_another_group_replaces_the_context(self, smith_calls):
         g, h = cyclic(4), cyclic(3)
         for group in (g, h, g):
             assert integral_homology(group, 2) == trivial
         assert Counter(smith_calls) == {
-            boundary_shape(4, 2): 2, boundary_shape(4, 3): 2,
-            boundary_shape(3, 2): 1, boundary_shape(3, 3): 1,
+            boundary_shape(4, 1): 2, boundary_shape(4, 2): 2, boundary_shape(4, 3): 2,
+            boundary_shape(3, 1): 1, boundary_shape(3, 2): 1, boundary_shape(3, 3): 1,
         }
 
 
