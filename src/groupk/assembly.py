@@ -202,37 +202,28 @@ def certify_noninjectivity(
     """
     name = group_name or f"order-{G.order} group"
     h2 = integral_homology(G, 2, generator_limit=generator_limit)
-    surviving = tuple(_surviving_terms(2))
     semisimple = is_semisimple(G, q)
     cited = [LOW_DEGREE_SURVIVAL, EDGE_SURVIVAL]
+    d = k2 = witness = None
     if not semisimple:
-        return NonInjectivityCertificate(
-            group=name, q=q.q, p=q.p, e=q.e,
-            semisimple=False, d=None, h2=h2, k2_group_ring=None,
-            surviving_terms=surviving,
-            verdict=INCONCLUSIVE, reason="CharacteristicDividesOrder",
-            witness=None, cited_assumptions=tuple(cited),
-        )
-    d = component_count(G, q)
-    k2 = k_group_ring(G, q, 2)
-    cited += [CITED_MASCHKE, CITED_WEDDERBURN, CITED_BERMAN, CITED_MORITA, CITED_QUILLEN]
-    if h2.is_trivial():
-        return NonInjectivityCertificate(
-            group=name, q=q.q, p=q.p, e=q.e,
-            semisimple=True, d=d, h2=h2, k2_group_ring=k2,
-            surviving_terms=surviving,
-            verdict=INCONCLUSIVE, reason="H2Trivial",
-            witness=None, cited_assumptions=tuple(cited),
-        )
-    witness = {
-        "degree": 2,
-        "source": f"E2_{{2,0}} = H_2(G) = {h2}",
-        "target": "K_2(F_q[G]) = 0",
-    }
+        verdict, reason = INCONCLUSIVE, "CharacteristicDividesOrder"
+    else:
+        d = component_count(G, q)
+        k2 = k_group_ring(G, q, 2)
+        cited += [CITED_MASCHKE, CITED_WEDDERBURN, CITED_BERMAN, CITED_MORITA, CITED_QUILLEN]
+        if h2.is_trivial():
+            verdict, reason = INCONCLUSIVE, "H2Trivial"
+        else:
+            verdict, reason = NOT_INJECTIVE, None
+            witness = {
+                "degree": 2,
+                "source": f"E2_{{2,0}} = H_2(G) = {h2}",
+                "target": "K_2(F_q[G]) = 0",
+            }
     return NonInjectivityCertificate(
         group=name, q=q.q, p=q.p, e=q.e,
-        semisimple=True, d=d, h2=h2, k2_group_ring=k2,
-        surviving_terms=surviving,
-        verdict=NOT_INJECTIVE, reason=None,
+        semisimple=semisimple, d=d, h2=h2, k2_group_ring=k2,
+        surviving_terms=tuple(_surviving_terms(2)),
+        verdict=verdict, reason=reason,
         witness=witness, cited_assumptions=tuple(cited),
     )

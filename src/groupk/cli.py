@@ -149,11 +149,12 @@ def render_e2_ascii(page: E2Page) -> str:
     coefficient K-group vanishes there) and "*" on odd rows (not computed).
     """
     N = page.max_total_degree
+    computed = {(p, qdeg): _chart_token(v) for p, qdeg, v in page.entries}
     cells = {}
     for qdeg in range(N + 1):
         for p in range(N + 1):
             if p + qdeg <= N:
-                cells[(p, qdeg)] = _chart_token(page.entry(p, qdeg))
+                cells[(p, qdeg)] = computed[(p, qdeg)]
             elif qdeg % 2 == 0 and qdeg > 0:
                 cells[(p, qdeg)] = "0"
             else:

@@ -21,15 +21,10 @@ class FiniteGroup:
     """Multiplication-table presentation: table[i][j] = index of g_i * g_j."""
 
     table: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...]
 
     @property
     def order(self) -> int:
         return len(self.table)
-
-    @property
-    def identity(self) -> int:
-        return 0
 
     def mul(self, i: int, j: int) -> int:
         return self.table[i][j]
@@ -71,11 +66,18 @@ class ConjugacyClassSet:
         return len(self.classes)
 
 
-def _default_labels(n: int) -> tuple[str, ...]:
-    return ("e",) + tuple(f"g{i}" for i in range(1, n))
+def _group(elements, mul) -> FiniteGroup:
+    """The table of `mul` on `elements` (identity first), indexed in their order."""
+    index = {x: k for k, x in enumerate(elements)}
+    return FiniteGroup(tuple(tuple(index[mul(a, b)] for b in elements) for a in elements))
 
 
-def group_from_table(table, labels=None) -> FiniteGroup:
+def _compose(p, q):
+    """The permutation x -> p[q[x]]."""
+    return tuple(p[x] for x in q)
+
+
+def group_from_table(table) -> FiniteGroup:
     """Validate a multiplication table and return the group.
 
     Checks the Latin-square property, a two-sided identity (relabeled to
@@ -106,33 +108,22 @@ def group_from_table(table, labels=None) -> FiniteGroup:
             break
     if e is None:
         raise NotAGroup("no two-sided identity element", witness=())
-    if labels is None:
-        labels = list(_default_labels(n))
-    else:
-        labels = list(labels)
-        if len(labels) != n:
-            raise NotAGroup(f"expected {n} labels, got {len(labels)}", witness=())
-    if e != 0:
-        # relabel so the identity sits at index 0
-        perm = list(range(n))
-        perm[0], perm[e] = perm[e], perm[0]
-        inv_perm = perm  # a transposition is its own inverse
-        rows = [
-            [inv_perm[rows[perm[i]][perm[j]]] for j in range(n)]
-            for i in range(n)
-        ]
-        labels = [labels[perm[i]] for i in range(n)]
+    # swap the identity into index 0
+    order = list(range(n))
+    order[0], order[e] = e, 0
+    G = _group(order, lambda a, b: rows[a][b])
+    t = G.table
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                if rows[rows[i][j]][k] != rows[i][rows[j][k]]:
+                if t[t[i][j]][k] != t[i][t[j][k]]:
                     raise NotAGroup(
                         f"associativity fails at ({i}, {j}, {k})", witness=(i, j, k)
                     )
     for i in range(n):
-        if 0 not in rows[i]:
+        if 0 not in t[i]:
             raise NotAGroup(f"element {i} has no inverse", witness=(i,))
-    return FiniteGroup(tuple(tuple(r) for r in rows), tuple(labels))
+    return G
 
 
 def _check_cap(order: int, order_cap: int):
@@ -144,52 +135,22 @@ def cyclic(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     if n < 1:
         raise ValueError(f"cyclic order must be >= 1, got {n}")
     _check_cap(n, order_cap)
-    table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
-    labels = ("e",) + tuple(f"g^{i}" if i > 1 else "g" for i in range(1, n))
-    return FiniteGroup(table, labels)
+    return _group(range(n), lambda i, j: (i + j) % n)
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    n = a.order * b.order
-    _check_cap(n, order_cap)
-
-    def idx(i, j):
-        return i * b.order + j
-
-    table = tuple(
-        tuple(
-            idx(a.table[i1][i2], b.table[j1][j2])
-            for i2 in range(a.order) for j2 in range(b.order)
-        )
-        for i1 in range(a.order) for j1 in range(b.order)
-    )
-    labels = tuple(
-        f"({a.labels[i]},{b.labels[j]})" for i in range(a.order) for j in range(b.order)
-    )
-    return FiniteGroup(table, labels)
+    _check_cap(a.order * b.order, order_cap)
+    pairs = list(itertools.product(a.elements(), b.elements()))
+    return _group(pairs, lambda x, y: (a.table[x[0]][y[0]], b.table[x[1]][y[1]]))
 
 
 def dihedral(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    """Dihedral group of order 2n: rotations r^i and reflections s r^i."""
+    """Dihedral group of order 2n: rotations r^i, then reflections s r^i."""
     if n < 1:
         raise ValueError(f"dihedral parameter must be >= 1, got {n}")
     _check_cap(2 * n, order_cap)
-
-    def idx(i, s):
-        return i + n * s
-
-    table = [[0] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        for s in range(2):
-            for k in range(n):
-                for t in range(2):
-                    if s == 0:
-                        table[idx(i, s)][idx(k, t)] = idx((i + k) % n, t)
-                    else:
-                        table[idx(i, s)][idx(k, t)] = idx((i - k) % n, 1 - t)
-    labels = ["e"] + [f"r^{i}" if i > 1 else "r" for i in range(1, n)]
-    labels += [f"s*r^{i}" if i > 1 else ("s" if i == 0 else "s*r") for i in range(n)]
-    return FiniteGroup(tuple(tuple(r) for r in table), tuple(labels))
+    elements = [(i, s) for s in range(2) for i in range(n)]
+    return _group(elements, lambda x, y: ((x[0] - y[0] if x[1] else x[0] + y[0]) % n, x[1] ^ y[1]))
 
 
 def symmetric(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
@@ -198,13 +159,7 @@ def symmetric(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         raise ValueError(f"symmetric group supported for 1 <= n <= 5, got {n}")
     perms = list(itertools.permutations(range(n)))
     _check_cap(len(perms), order_cap)
-    index = {p: k for k, p in enumerate(perms)}
-    table = tuple(
-        tuple(index[tuple(p[q[x]] for x in range(n))] for q in perms)
-        for p in perms
-    )
-    labels = tuple("".join(str(x + 1) for x in p) for p in perms)
-    return FiniteGroup(table, labels)
+    return _group(perms, _compose)
 
 
 def permutation_closure(generators, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
@@ -228,7 +183,7 @@ def permutation_closure(generators, *, order_cap: int = DEFAULT_ORDER_CAP) -> Fi
         new = []
         for p in frontier:
             for g in gens:
-                q = tuple(p[g[x]] for x in range(deg))
+                q = _compose(p, g)
                 if q not in seen:
                     if len(elements) + len(new) + 1 > order_cap:
                         raise TooLarge(
@@ -238,13 +193,7 @@ def permutation_closure(generators, *, order_cap: int = DEFAULT_ORDER_CAP) -> Fi
                     new.append(q)
         elements.extend(new)
         frontier = new
-    index = {p: k for k, p in enumerate(elements)}
-    table = tuple(
-        tuple(index[tuple(p[q[x]] for x in range(deg))] for q in elements)
-        for p in elements
-    )
-    labels = tuple("(" + " ".join(str(x) for x in p) + ")" for p in elements)
-    return FiniteGroup(table, labels)
+    return _group(elements, _compose)
 
 
 def conjugacy_classes(G: FiniteGroup) -> ConjugacyClassSet:
@@ -312,12 +261,7 @@ def quotient_by_normal(G: FiniteGroup, normal) -> FiniteGroup:
         for y in coset:
             coset_of[y] = rep
     reps.sort()
-    pos = {r: k for k, r in enumerate(reps)}
-    table = tuple(
-        tuple(pos[coset_of[G.mul(a, b)]] for b in reps) for a in reps
-    )
-    labels = tuple(G.labels[r] for r in reps)
-    return FiniteGroup(table, labels)
+    return _group(reps, lambda a, b: coset_of[G.mul(a, b)])
 
 
 def abelianization(G: FiniteGroup) -> FgAbelianGroup:
@@ -372,4 +316,6 @@ def group_from_file(path, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         except ValueError:
             raise NotAGroup(f"non-integer table entry in row {ln!r}") from None
     labels = lines[1 + m:]
-    return group_from_table(table, labels or None)
+    if labels and len(labels) != m:
+        raise NotAGroup(f"expected {m} labels, got {len(labels)}", witness=())
+    return group_from_table(table)

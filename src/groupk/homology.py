@@ -33,6 +33,12 @@ def _check_guards(G, n, degree_cap, generator_limit):
             f"bar basis in degree {n} has {bar_basis_dimension(G, n)} generators, "
             f"over the limit {generator_limit} (GROUPK_GENERATOR_LIMIT)"
         )
+    # a degree-n generator is an n-tuple, so even one per degree (C1, C2) puts
+    # about n^2 / 2 entries in the chain through degree n
+    if n * n > generator_limit:
+        raise TooLarge(
+            f"degree {n} squared is {n * n}, over the limit {generator_limit} (GROUPK_GENERATOR_LIMIT)"
+        )
 
 
 def bar_boundary(

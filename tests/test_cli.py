@@ -6,8 +6,11 @@ import time
 
 import pytest
 
-from groupk.cli import parse_group_spec, run
+from groupk.assembly import e2_page
+from groupk.cli import parse_group_spec, render_e2_ascii, run
 from groupk.errors import ParseError
+from groupk.groups import cyclic
+from groupk.kfield import validate_prime_power
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -181,6 +184,19 @@ class TestInputErrors:
         assert code == 0
         assert len(out.splitlines()[-1].split("Z/")[1]) == 4297
 
+    @pytest.mark.parametrize("argv", [
+        ["homology", "--group", "C2", "--max-degree", "2000"],
+        ["homology", "--group", "C1", "--max-degree", "100000"],
+        ["e2page", "--group", "C1", "--q", "2", "--max-degree", "30000"],
+    ], ids=lambda argv: f"{argv[0]}-{argv[2]}")
+    def test_degree_bound_for_tiny_groups(self, argv):
+        # a basis of one generator per degree never trips the generator count
+        start = time.perf_counter()
+        code, out, err = invoke(argv)
+        assert time.perf_counter() - start < 5.0
+        assert code == 1 and out == ""
+        assert err == "error: degree 317 squared is 100489, over the limit 100000 (GROUPK_GENERATOR_LIMIT)\n"
+
     @pytest.mark.parametrize("argv, name", [
         (["certify", "--group", "C2xC24", "--q", "5"], "GROUPK_GENERATOR_LIMIT"),
         (["homology", "--group", "C100", "--max-degree", "2"], "GROUPK_ORDER_CAP"),
@@ -218,6 +234,17 @@ class TestOutputs:
         assert code == 0
         with open(os.path.join(DATA, "e2_C2xC2_q5_N3.txt")) as fh:
             assert out == fh.read()
+
+    def test_e2page_chart_in_bounded_time(self):
+        # each cell is read once from the page: about 0.03 s here, against 12 s
+        # when every cell searched the whole triangle
+        page = e2_page(cyclic(1), validate_prime_power(2), 150)
+        start = time.perf_counter()
+        chart = render_e2_ascii(page)
+        assert time.perf_counter() - start < 1.0
+        lines = chart.splitlines()
+        assert len(lines) == 150 + 4
+        assert lines[1].split() == ["150", "|"] + ["0"] * 151  # K_150(F_2) = 0
 
     def test_e2page_json_roundtrip(self):
         code, out, _ = invoke(

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from groupk.abelian import FgAbelianGroup
@@ -5,6 +7,7 @@ from groupk.errors import NotAGroup, TooLarge
 from groupk.groups import (
     abelianization,
     conjugacy_classes,
+    commutator_subgroup,
     cyclic,
     dihedral,
     direct_product,
@@ -12,6 +15,7 @@ from groupk.groups import (
     group_from_file,
     group_from_table,
     permutation_closure,
+    quotient_by_normal,
     symmetric,
 )
 
@@ -82,7 +86,7 @@ class TestBuilders:
     @pytest.mark.parametrize("name,group", all_builders_upto(24))
     def test_axioms(self, name, group):
         # full validation must accept every builder's table
-        g = group_from_table([list(r) for r in group.table], group.labels)
+        g = group_from_table([list(r) for r in group.table])
         assert g.table == group.table
 
     def test_c2xc2_all_involutions(self):
@@ -187,11 +191,16 @@ class TestTableFile:
         path = tmp_path / "s3.txt"
         lines = [str(g.order)]
         lines += [" ".join(str(v) for v in row) for row in g.table]
-        lines += list(g.labels)
+        lines += ["e", "a", "b", "ab", "ba", "aba"]  # labels are read and counted only
         path.write_text("\n".join(lines) + "\n")
         h = group_from_file(path)
         assert h.table == g.table
-        assert h.labels == g.labels
+
+    def test_label_count_checked(self, tmp_path):
+        path = tmp_path / "c3.txt"
+        path.write_text("3\n0 1 2\n1 2 0\n2 0 1\ne\ng\n")
+        with pytest.raises(NotAGroup, match="expected 3 labels, got 2"):
+            group_from_file(path)
 
     def test_without_labels(self, tmp_path):
         path = tmp_path / "c2.txt"
@@ -203,3 +212,29 @@ class TestTableFile:
         path.write_text("2\n0 1\n")
         with pytest.raises(NotAGroup):
             group_from_file(path)
+
+
+def pinned_groups():
+    """Every builder over a fixed range, in a fixed order."""
+    atoms = [cyclic(n) for n in range(1, 65)] + [dihedral(n) for n in range(1, 33)]
+    groups = atoms + [symmetric(n, order_cap=120) for n in range(1, 6)]
+    groups += [direct_product(a, b) for a in atoms[1:] for b in atoms[1:] if a.order * b.order <= 64]
+    # the Q8 of tests/test_homology.py's SMALL_GROUPS
+    groups.append(permutation_closure([(1, 2, 3, 0, 5, 6, 7, 4), (4, 7, 6, 5, 2, 1, 0, 3)]))
+    s4 = symmetric(4)
+    groups.append(quotient_by_normal(s4, commutator_subgroup(s4)))
+    return groups
+
+
+class TestElementOrdering:
+    # The element order of a builder fixes every table, Smith pivot and output
+    # downstream, and the cost of the Smith reduction with them.
+    DIGEST = "3270c94c5f1ca5d5e175dccc45ee551dbeba6db519ec14b9daae30ccaa259efb"
+
+    def test_builder_tables_are_pinned(self):
+        groups = pinned_groups()
+        assert len(groups) == 480
+        digest = hashlib.sha256()
+        for g in groups:
+            digest.update(repr(g.table).encode())
+        assert digest.hexdigest() == self.DIGEST

@@ -63,6 +63,14 @@ class TestBarBoundary:
         with pytest.raises(TooLarge):
             bar_boundary(cyclic(8), 4, generator_limit=100)
 
+    def test_degree_bound_from_generator_limit(self):
+        # C2 has one generator per degree; the degree itself is bounded by n^2 <= limit
+        assert bar_boundary(cyclic(2), 4, generator_limit=16).to_rows() == [[2]]
+        with pytest.raises(TooLarge, match=r"degree 5 squared is 25, over the limit 24 \(GROUPK_GENERATOR_LIMIT\)"):
+            bar_boundary(cyclic(2), 5, generator_limit=24)
+        with pytest.raises(TooLarge, match="degree 5 squared is 25"):
+            integral_homology(cyclic(1), 4, generator_limit=24)
+
 
 class TestIntegralHomology:
     def test_h0_is_z(self):
