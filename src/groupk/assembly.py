@@ -84,7 +84,8 @@ def e2_page(
     entries = []
     for qdeg in range(max_total_degree + 1):
         coeff = k_finite_field(q, qdeg)
-        for p in range(max_total_degree - qdeg + 1):
+        # top degree first: the guards of H_N cover every degree below it
+        for p in range(max_total_degree - qdeg, -1, -1):
             val = homology_with_coefficients(
                 G, p, coeff,
                 degree_cap=max_total_degree, generator_limit=generator_limit,
@@ -185,6 +186,19 @@ class NonInjectivityCertificate:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2) + "\n"
+
+    @classmethod
+    def from_json(cls, text: str) -> "NonInjectivityCertificate":
+        """Inverse of to_json; construction re-runs the NOT_INJECTIVE checks."""
+        data = json.loads(text)
+        k2 = data["k2_group_ring"]
+        return cls(**{
+            **data,
+            "h2": FgAbelianGroup.from_json(data["h2"]),
+            "k2_group_ring": None if k2 is None else FgAbelianGroup.from_json(k2),
+            "surviving_terms": tuple(SurvivingTerm(**t) for t in data["surviving_terms"]),
+            "cited_assumptions": tuple(data["cited_assumptions"]),
+        })
 
 
 def certify_noninjectivity(

@@ -253,11 +253,12 @@ def run(argv, stdout=None, stderr=None) -> int:
 
         if args.command == "homology":
             G = parse_group_spec(args.group).build(order_cap)
+            # top degree first: its guards cover every degree below it
             hs = [
                 integral_homology(G, n, degree_cap=args.max_degree,
                                   generator_limit=generator_limit)
-                for n in range(args.max_degree + 1)
-            ]
+                for n in range(args.max_degree, -1, -1)
+            ][::-1]
             if args.format == "json":
                 emit(json.dumps({
                     "group": args.group,

@@ -100,7 +100,7 @@ class _BarComplex:
         self.diagonals: list[list[int]] = [[]]
 
     def homology(self, n: int, degree_cap: int, generator_limit: int) -> FgAbelianGroup:
-        """H_n for n >= 1; the caller has checked the guards for d_n and d_{n+1}."""
+        """H_n for n >= 1; the caller has checked every guard this call meets."""
         for k in range(len(self.diagonals), n + 2):
             d = bar_boundary(self.G, k, degree_cap=degree_cap, generator_limit=generator_limit)
             check_complex(d, self.top)
@@ -123,7 +123,8 @@ def integral_homology(
 ) -> FgAbelianGroup:
     """H_n(G; Z) in canonical form.
 
-    The guards are checked on every call, before any memoised work is used.
+    The guards are checked on every call, before any memoised work is used
+    and before any boundary is built, so a request past a bound fails at once.
     """
     if n < 0:
         raise ValueError("homology degree must be >= 0")
@@ -131,10 +132,13 @@ def integral_homology(
         raise TooLarge(f"degree {n} exceeds the degree cap {degree_cap}")
     if n == 0:
         return FgAbelianGroup.free(1)
-    for k in (n, n + 1):
-        _check_guards(G, k, degree_cap + 1, generator_limit)
     global _context
-    if _context is None or _context.G != G:
+    cold = _context is None or _context.G != G
+    unbuilt = 1 if cold else len(_context.diagonals)  # the lowest degree not built
+    # every degree this call would build, lowest first, and the two it reads
+    for k in range(min(n, unbuilt), n + 2):
+        _check_guards(G, k, degree_cap + 1, generator_limit)
+    if cold:
         _context = _BarComplex(G)
     return _context.homology(n, degree_cap, generator_limit)
 

@@ -230,10 +230,10 @@ def smith_diagonal(A: IntegerMatrix) -> list[int]:
     operations.
     """
     rows: dict[int, dict[int, int]] = {}
-    colidx: dict[int, set[int]] = {}
+    colcount: dict[int, int] = {}  # live entries per column: all fill_score reads
     for (i, j), v in A._data.items():
         rows.setdefault(i, {})[j] = v
-        colidx.setdefault(j, set()).add(i)
+        colcount[j] = colcount.get(j, 0) + 1
 
     # A heap key packs (score, row, column) into one int that sorts as the
     # tuple would: score << 2s | row << s | column, each index below 2**s.
@@ -241,7 +241,7 @@ def smith_diagonal(A: IntegerMatrix) -> list[int]:
     s2, mask = 2 * s, (1 << s) - 1
 
     def fill_score(i, j):
-        return ((len(rows[i]) - 1) * (len(colidx[j]) - 1)) << s2 | i << s | j
+        return ((len(rows[i]) - 1) * (colcount[j] - 1)) << s2 | i << s | j
 
     heap: list[int] = []
     for i in sorted(rows):
@@ -266,9 +266,9 @@ def smith_diagonal(A: IntegerMatrix) -> list[int]:
         # eliminate the pivot: clear column j by row operations, drop row i / col j
         prow = rows.pop(i)
         for jj in prow:
-            colidx[jj].discard(i)
-        targets = sorted(colidx.get(j, ()))
-        for r in targets:
+            colcount[jj] -= 1
+        # ascending rows, as the pushes below read counts mid-update
+        for r in sorted(r for r, rrow in rows.items() if j in rrow):
             rrow = rows[r]
             c = rrow.pop(j)
             f = c * v  # multiplier with f * v == c since v is a unit
@@ -279,16 +279,16 @@ def smith_diagonal(A: IntegerMatrix) -> list[int]:
                 if nv == 0:
                     if jj in rrow:
                         del rrow[jj]
-                        colidx[jj].discard(r)
+                        colcount[jj] -= 1
                 else:
                     if jj not in rrow:
-                        colidx[jj].add(r)
+                        colcount[jj] += 1
                     rrow[jj] = nv
                     if nv in (1, -1):
                         heapq.heappush(heap, fill_score(r, jj))
             if not rrow:
                 del rows[r]
-        colidx.pop(j, None)
+        del colcount[j]
         ones += 1
 
     # dense cleanup of whatever has no unit entries left

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from groupk.abelian import FgAbelianGroup
@@ -121,6 +123,24 @@ class TestCertificate:
                 verdict=NOT_INJECTIVE, reason=None, witness=good.witness,
                 cited_assumptions=good.cited_assumptions,
             )
+
+    @pytest.mark.parametrize("group, q, verdict, reason", [
+        ("C2xC2", 5, NOT_INJECTIVE, None),
+        ("C2xC2", 2, INCONCLUSIVE, "CharacteristicDividesOrder"),
+        ("C3", 2, INCONCLUSIVE, "H2Trivial"),
+    ])
+    def test_json_round_trip(self, group, q, verdict, reason):
+        g = C2xC2 if group == "C2xC2" else cyclic(3)
+        text = certify_noninjectivity(g, validate_prime_power(q), group_name=group).to_json()
+        cert = NonInjectivityCertificate.from_json(text)
+        assert (cert.verdict, cert.reason) == (verdict, reason)
+        assert cert.to_json() == text
+
+    def test_forged_json_rejected(self):
+        data = json.loads(certify_noninjectivity(C2xC2, Q5, group_name="C2xC2").to_json())
+        data["h2"] = trivial.to_json()
+        with pytest.raises(ValueError, match="nontrivial H_2"):
+            NonInjectivityCertificate.from_json(json.dumps(data))
 
     def test_json_schema_field_order(self):
         cert = certify_noninjectivity(C2xC2, Q5, group_name="C2xC2")

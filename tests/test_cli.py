@@ -189,13 +189,28 @@ class TestInputErrors:
         ["homology", "--group", "C1", "--max-degree", "100000"],
         ["e2page", "--group", "C1", "--q", "2", "--max-degree", "30000"],
     ], ids=lambda argv: f"{argv[0]}-{argv[2]}")
-    def test_degree_bound_for_tiny_groups(self, argv):
+    def test_degree_bound_for_tiny_groups(self, argv, built):
         # a basis of one generator per degree never trips the generator count
         start = time.perf_counter()
         code, out, err = invoke(argv)
         assert time.perf_counter() - start < 5.0
-        assert code == 1 and out == ""
+        assert code == 1 and out == "" and built == []
         assert err == "error: degree 317 squared is 100489, over the limit 100000 (GROUPK_GENERATOR_LIMIT)\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["homology", "--group", "C3xC3", "--max-degree", "6"],
+        ["e2page", "--group", "C3xC3", "--q", "2", "--max-degree", "5"],
+    ], ids=lambda argv: argv[0])
+    def test_size_guard_fails_before_any_build(self, argv, built):
+        # d_1 .. d_5 pass the guards; d_6 does not, and nothing is built first
+        start = time.perf_counter()
+        code, out, err = invoke(argv)
+        assert time.perf_counter() - start < 5.0
+        assert code == 1 and out == "" and built == []
+        assert err == (
+            "error: bar basis in degree 6 has 262144 generators, "
+            "over the limit 100000 (GROUPK_GENERATOR_LIMIT)\n"
+        )
 
     @pytest.mark.parametrize("argv, name", [
         (["certify", "--group", "C2xC24", "--q", "5"], "GROUPK_GENERATOR_LIMIT"),

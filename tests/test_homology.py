@@ -7,7 +7,6 @@ from collections import Counter
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from groupk import homology
 from groupk.abelian import FgAbelianGroup
 from groupk.cli import run
 from groupk.errors import InsufficientDegrees, TooLarge
@@ -115,20 +114,6 @@ class TestIntegralHomology:
 
 def boundary_shape(order, k):
     return ((order - 1) ** (k - 1), (order - 1) ** k)
-
-
-@pytest.fixture
-def built(monkeypatch):
-    """Degrees of the boundaries the homology engine builds."""
-    degrees = []
-    real = homology.bar_boundary
-
-    def counting(G, k, **kwargs):
-        degrees.append(k)
-        return real(G, k, **kwargs)
-
-    monkeypatch.setattr(homology, "bar_boundary", counting)
-    return degrees
 
 
 # every builder group of order <= 8, Q8 as a permutation closure

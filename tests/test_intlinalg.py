@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -141,6 +142,20 @@ class TestUnitPivotPhase:
                 for i in range(m) for j in range(n) if rng.random() < density
             }
             same_pivots(IntegerMatrix(m, n, entries))
+
+
+class TestSmithMemory:
+    def test_unit_phase_peak_per_nonzero(self):
+        # the unit phase keeps one count per column, not a set of rows
+        A = bar_boundary(cyclic(7), 4)
+        assert (A.rows, A.cols, A.nonzero_count()) == (216, 1296, 5826)
+        tracemalloc.start()
+        try:
+            smith_diagonal(A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 320 * A.nonzero_count()
 
 
 class TestRank:
