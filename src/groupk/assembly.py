@@ -10,7 +10,7 @@ cleanly separated from the machine-verified quantities.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import __version__
 from .abelian import FgAbelianGroup
@@ -101,9 +101,6 @@ class SurvivingTerm:
     q: int
     justification: str
 
-    def to_json(self) -> dict:
-        return {"p": self.p, "q": self.q, "justification": self.justification}
-
 
 def surviving_low_degree(page: E2Page) -> list[SurvivingTerm]:
     """The four E^2 positions whose survival the argument quotes.
@@ -167,22 +164,7 @@ class NonInjectivityCertificate:
             raise ValueError("Berman's count must be cited when d is reported")
 
     def to_json_dict(self) -> dict:
-        return {
-            "group": self.group,
-            "q": self.q,
-            "p": self.p,
-            "e": self.e,
-            "semisimple": self.semisimple,
-            "d": self.d,
-            "h2": self.h2.to_json(),
-            "k2_group_ring": None if self.k2_group_ring is None else self.k2_group_ring.to_json(),
-            "surviving_terms": [t.to_json() for t in self.surviving_terms],
-            "verdict": self.verdict,
-            "reason": self.reason,
-            "witness": self.witness,
-            "cited_assumptions": list(self.cited_assumptions),
-            "tool_version": self.tool_version,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2) + "\n"

@@ -8,7 +8,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 
 from . import __version__
 from .abelian import FgAbelianGroup
@@ -32,18 +31,7 @@ _ATOM_RE = re.compile(r"^([CDS])([0-9]+)$")
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
-@dataclass(frozen=True)
-class GroupSpec:
-    """A parsed textual group description; build() constructs the group."""
-
-    text: str
-    _builder: object
-
-    def build(self, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-        return self._builder(order_cap)
-
-
-def _parse_atom(atom: str, pos: int):
+def _parse_atom(atom: str, pos: int) -> tuple[str, int]:
     m = _ATOM_RE.match(atom)
     if not m:
         raise ParseError(
@@ -56,14 +44,10 @@ def _parse_atom(atom: str, pos: int):
         raise ParseError(f"{kind}{n}: parameter must be >= 1", position=pos)
     if kind == "S" and n > 5:
         raise ParseError("S<n> is supported for n <= 5", position=pos)
-    if kind == "C":
-        return lambda cap: cyclic(n, order_cap=cap)
-    if kind == "D":
-        return lambda cap: dihedral(n, order_cap=cap)
-    return lambda cap: symmetric(n, order_cap=cap)
+    return kind, n
 
 
-def _parse_permutations(body: str, offset: int):
+def _parse_permutations(body: str, offset: int) -> list[tuple[int, ...]]:
     gens_text = body.split(";")
     perms = []
     points: set[int] = set()
@@ -110,32 +94,37 @@ def _parse_permutations(body: str, offset: int):
             for a, b in zip(cyc, cyc[1:] + cyc[:1]):
                 perm[index[a]] = index[b]
         gens.append(tuple(perm))
-    return lambda cap: permutation_closure(gens, order_cap=cap)
+    return gens
 
 
-def parse_group_spec(text: str) -> GroupSpec:
-    """Parse "C2xC2", "D4", "S3", "perm:(1 2 3);(1 2)" or "table:<path>"."""
+def parse_group(text: str, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+    """Build "C2xC2", "D4", "S3", "perm:(1 2 3);(1 2)" or "table:<path>".
+
+    Every atom of a product is parsed before any factor is built, so a spec
+    error outranks a size guard.
+    """
     if not text:
         raise ParseError("empty group spec", position=0)
     if text.startswith("perm:"):
-        builder = _parse_permutations(text[len("perm:"):], len("perm:"))
-        return GroupSpec(text, builder)
+        gens = _parse_permutations(text[len("perm:"):], len("perm:"))
+        return permutation_closure(gens, order_cap=order_cap)
     if text.startswith("table:"):
         path = text[len("table:"):]
         if not path:
             raise ParseError("missing path after table:", position=len("table:"))
-        return GroupSpec(text, lambda cap: group_from_file(path, order_cap=cap))
-    builders = []
+        return group_from_file(path, order_cap=order_cap)
+    atoms = []
     pos = 0
     for atom in text.split("x"):
-        builders.append(_parse_atom(atom, pos))
+        atoms.append(_parse_atom(atom, pos))
         pos += len(atom) + 1
-    def build(cap):
-        G = builders[0](cap)
-        for b in builders[1:]:
-            G = direct_product(G, b(cap), order_cap=cap)
-        return G
-    return GroupSpec(text, build)
+    # looked up per call, so a rebinding of these module names takes effect
+    builders = {"C": cyclic, "D": dihedral, "S": symmetric}
+    G = None
+    for kind, n in atoms:
+        factor = builders[kind](n, order_cap=order_cap)
+        G = factor if G is None else direct_product(G, factor, order_cap=order_cap)
+    return G
 
 
 def _chart_token(g: FgAbelianGroup) -> str:
@@ -183,7 +172,8 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="groupk", description=__doc__)
     parser.add_argument("--version", action="version", version=f"groupk {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -197,7 +187,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if degrees:
             p.add_argument("--max-degree", type=nonnegative_int, default=4, help="top degree (default 4)")
         p.add_argument("--format", choices=("ascii", "json"), default="ascii")
-        return p
 
     add("kfield", "K-groups of a finite field", field=True, degrees=True)
     add("homology", "integral homology of a finite group", group=True, degrees=True)
@@ -222,6 +211,19 @@ def _limits():
     return cap, gen
 
 
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _lines(lines) -> str:
+    """One line each, skipping the false entries that stand for absent ones."""
+    return "".join(f"{line}\n" for line in lines if line)
+
+
+def _by_degree(groups) -> list[dict]:
+    return [{"n": n, "group": g.to_json(), "display": str(g)} for n, g in enumerate(groups)]
+
+
 def run(argv, stdout=None, stderr=None) -> int:
     """Dispatch a command line; returns the process exit code.
 
@@ -231,101 +233,61 @@ def run(argv, stdout=None, stderr=None) -> int:
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         order_cap, generator_limit = _limits()
-        emit = functools.partial(print, file=out)
+        G = parse_group(args.group, order_cap) if "group" in args else None
+        qp = validate_prime_power(args.q) if "q" in args else None
+        as_json = args.format == "json"
+        code = 0
 
         if args.command == "kfield":
-            qp = validate_prime_power(args.q)
             ks = [k_finite_field(qp, n) for n in range(args.max_degree + 1)]
-            if args.format == "json":
-                emit(json.dumps({
-                    "q": qp.q, "p": qp.p, "e": qp.e,
-                    "degrees": [
-                        {"n": n, "group": k.to_json(), "display": str(k)}
-                        for n, k in enumerate(ks)
-                    ],
-                }, indent=2))
-            else:
-                for n, k in enumerate(ks):
-                    emit(f"K_{n}(F_{qp.q}) = {k}")
-            return 0
-
-        if args.command == "homology":
-            G = parse_group_spec(args.group).build(order_cap)
+            text = (_json({"q": qp.q, "p": qp.p, "e": qp.e, "degrees": _by_degree(ks)})
+                    if as_json else _lines(f"K_{n}(F_{qp.q}) = {k}" for n, k in enumerate(ks)))
+        elif args.command == "homology":
             # top degree first: its guards cover every degree below it
             hs = [
                 integral_homology(G, n, degree_cap=args.max_degree,
                                   generator_limit=generator_limit)
                 for n in range(args.max_degree, -1, -1)
             ][::-1]
-            if args.format == "json":
-                emit(json.dumps({
-                    "group": args.group,
-                    "degrees": [
-                        {"n": n, "group": h.to_json(), "display": str(h)}
-                        for n, h in enumerate(hs)
-                    ],
-                }, indent=2))
-            else:
-                for n, h in enumerate(hs):
-                    emit(f"H_{n}({args.group}) = {h}")
-            return 0
-
-        if args.command == "wedderburn":
-            G = parse_group_spec(args.group).build(order_cap)
-            qp = validate_prime_power(args.q)
-            summary = wedderburn_summary(G, qp)
-            if args.format == "json":
-                emit(json.dumps(summary.to_json(), indent=2))
-            else:
-                emit(f"semisimple: {str(summary.semisimple).lower()}")
-                if summary.semisimple:
-                    emit(f"d: {summary.d}")
-                    emit(f"field_degrees: {list(summary.field_degrees)}")
-                    emit(f"method: {summary.method}")
-            return 0
-
-        if args.command == "e2page":
-            G = parse_group_spec(args.group).build(order_cap)
-            qp = validate_prime_power(args.q)
+            text = (_json({"group": args.group, "degrees": _by_degree(hs)})
+                    if as_json else _lines(f"H_{n}({args.group}) = {h}" for n, h in enumerate(hs)))
+        elif args.command == "wedderburn":
+            s = wedderburn_summary(G, qp)
+            text = _json(s.to_json()) if as_json else _lines([
+                f"semisimple: {str(s.semisimple).lower()}",
+                s.semisimple and f"d: {s.d}",
+                s.semisimple and f"field_degrees: {list(s.field_degrees)}",
+                s.semisimple and f"method: {s.method}",
+            ])
+        elif args.command == "e2page":
             page = e2_page(G, qp, args.max_degree, generator_limit=generator_limit)
-            if args.format == "json":
-                emit(json.dumps({
-                    "group": args.group, "q": qp.q,
-                    "max_total_degree": page.max_total_degree,
-                    "entries": [
-                        {"p": p, "q": qd, "group": v.to_json(), "display": str(v)}
-                        for p, qd, v in page.entries
-                    ],
-                }, indent=2))
-            else:
-                out.write(render_e2_ascii(page))
-            return 0
-
-        if args.command == "certify":
-            G = parse_group_spec(args.group).build(order_cap)
-            qp = validate_prime_power(args.q)
+            text = _json({
+                "group": args.group, "q": qp.q,
+                "max_total_degree": page.max_total_degree,
+                "entries": [
+                    {"p": p, "q": qd, "group": v.to_json(), "display": str(v)}
+                    for p, qd, v in page.entries
+                ],
+            }) if as_json else render_e2_ascii(page)
+        else:
             cert = certify_noninjectivity(
                 G, qp, group_name=args.group, generator_limit=generator_limit
             )
-            if args.format == "json":
-                out.write(cert.to_json())
-            else:
-                emit(f"group: {cert.group}")
-                emit(f"field: F_{cert.q} (characteristic {cert.p})")
-                emit(f"semisimple: {str(cert.semisimple).lower()}")
-                if cert.d is not None:
-                    emit(f"components d: {cert.d}")
-                emit(f"H_2(G) = {cert.h2}")
-                if cert.k2_group_ring is not None:
-                    emit(f"K_2(F_q[G]) = {cert.k2_group_ring}")
-                emit(f"verdict: {cert.verdict}")
-                if cert.reason:
-                    emit(f"reason: {cert.reason}")
-            return 0 if cert.verdict == NOT_INJECTIVE else 2
-
-        raise ParseError(f"unknown command {args.command!r}")
+            text = cert.to_json() if as_json else _lines([
+                f"group: {cert.group}",
+                f"field: F_{cert.q} (characteristic {cert.p})",
+                f"semisimple: {str(cert.semisimple).lower()}",
+                cert.d is not None and f"components d: {cert.d}",
+                f"H_2(G) = {cert.h2}",
+                cert.k2_group_ring is not None and f"K_2(F_q[G]) = {cert.k2_group_ring}",
+                f"verdict: {cert.verdict}",
+                cert.reason and f"reason: {cert.reason}",
+            ])
+            code = 0 if cert.verdict == NOT_INJECTIVE else 2
+        out.write(text)
+        return code
     except GroupKError as exc:
         print(f"error: {exc}", file=err)
         return 1

@@ -10,6 +10,7 @@ Morita invariance and the finite-field K-theory formula.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .abelian import FgAbelianGroup, direct_sum_all
 from .errors import NotAbelian, NotSemisimple
@@ -24,7 +25,7 @@ class WedderburnSummary:
     semisimple: bool
     d: int
     field_degrees: tuple[int, ...] | None
-    method: str
+    method: ClassVar[str] = "q-classes"
 
     def to_json(self) -> dict:
         out = {"semisimple": self.semisimple, "d": self.d, "method": self.method}
@@ -82,11 +83,9 @@ def component_count(G: FiniteGroup, q: PrimePower) -> int:
 def wedderburn_summary(G: FiniteGroup, q: PrimePower) -> WedderburnSummary:
     """Component count and sorted component field degrees over F_q, for any G."""
     if not is_semisimple(G, q):
-        return WedderburnSummary(semisimple=False, d=0, field_degrees=None, method="q-classes")
+        return WedderburnSummary(semisimple=False, d=0, field_degrees=None)
     degrees = tuple(sorted(len(o) for o in _frobenius_orbits(G, q)))
-    return WedderburnSummary(
-        semisimple=True, d=len(degrees), field_degrees=degrees, method="q-classes"
-    )
+    return WedderburnSummary(semisimple=True, d=len(degrees), field_degrees=degrees)
 
 
 def abelian_wedderburn(G: FiniteGroup, q: PrimePower) -> WedderburnSummary:

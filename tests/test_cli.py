@@ -1,13 +1,15 @@
 import io
 import json
 import os
+import subprocess
 import sys
 import time
 
 import pytest
 
+import groupk
 from groupk.assembly import e2_page
-from groupk.cli import parse_group_spec, render_e2_ascii, run
+from groupk.cli import parse_group, render_e2_ascii, run
 from groupk.errors import ParseError
 from groupk.groups import cyclic
 from groupk.kfield import validate_prime_power
@@ -34,40 +36,40 @@ def invoke(argv):
 
 class TestParseGroupSpec:
     def test_product_of_cyclics(self):
-        g = parse_group_spec("C2xC2").build()
+        g = parse_group("C2xC2")
         assert g.order == 4 and g.is_abelian()
 
     def test_symmetric(self):
-        assert parse_group_spec("S3").build().order == 6
+        assert parse_group("S3").order == 6
 
     def test_dihedral(self):
-        assert parse_group_spec("D4").build().order == 8
+        assert parse_group("D4").order == 8
 
     def test_zero_rejected(self):
         with pytest.raises(ParseError):
-            parse_group_spec("C0")
+            parse_group("C0")
 
     def test_garbage_rejected(self):
         with pytest.raises(ParseError) as info:
-            parse_group_spec("C2xQ8")
+            parse_group("C2xQ8")
         assert info.value.position == 3
 
     def test_empty_rejected(self):
         with pytest.raises(ParseError):
-            parse_group_spec("")
+            parse_group("")
 
     def test_perm_spec(self):
-        g = parse_group_spec("perm:(1 2 3);(1 2)").build()
+        g = parse_group("perm:(1 2 3);(1 2)")
         assert g.order == 6
 
     def test_perm_bad_text(self):
         with pytest.raises(ParseError):
-            parse_group_spec("perm:(1 2) junk")
+            parse_group("perm:(1 2) junk")
 
     def test_table_spec(self, tmp_path):
         path = tmp_path / "c2.txt"
         path.write_text("2\n0 1\n1 0\n")
-        g = parse_group_spec(f"table:{path}").build()
+        g = parse_group(f"table:{path}")
         assert g.order == 2
 
 
@@ -306,3 +308,61 @@ class TestOutputs:
         monkeypatch.setenv("GROUPK_ORDER_CAP", "128")
         code, out, _ = invoke(["homology", "--group", "C70", "--max-degree", "1"])
         assert code == 0 and "H_1(C70) = Z/70" in out
+
+
+def golden(name):
+    with open(os.path.join(DATA, name)) as fh:
+        return fh.read()
+
+
+class TestExactText:
+    @pytest.mark.parametrize("group, q, code, text", [
+        ("C2xC2", "5", 0, [
+            "group: C2xC2", "field: F_5 (characteristic 5)", "semisimple: true",
+            "components d: 4", "H_2(G) = Z/2", "K_2(F_q[G]) = 0", "verdict: NOT_INJECTIVE",
+        ]),
+        ("C2xC2", "2", 2, [
+            "group: C2xC2", "field: F_2 (characteristic 2)", "semisimple: false",
+            "H_2(G) = Z/2", "verdict: INCONCLUSIVE", "reason: CharacteristicDividesOrder",
+        ]),
+        ("C3", "2", 2, [
+            "group: C3", "field: F_2 (characteristic 2)", "semisimple: true",
+            "components d: 2", "H_2(G) = 0", "K_2(F_q[G]) = 0", "verdict: INCONCLUSIVE",
+            "reason: H2Trivial",
+        ]),
+    ], ids=["not-injective", "modular", "h2-trivial"])
+    def test_certify_ascii(self, group, q, code, text):
+        assert invoke(["certify", "--group", group, "--q", q]) == (
+            code, "".join(line + "\n" for line in text), "")
+
+    @pytest.mark.parametrize("argv, name", [
+        (["certify", "--group", "C2xC2", "--q", "5"], "certify_C2xC2_q5.json"),
+        (["homology", "--group", "S3", "--max-degree", "3"], "homology_S3_N3.json"),
+        (["kfield", "--q", "4", "--max-degree", "3"], "kfield_q4_N3.json"),
+    ], ids=["certify", "homology", "kfield"])
+    def test_json(self, argv, name):
+        assert invoke(argv + ["--format", "json"]) == (0, golden(name), "")
+
+    def test_wedderburn_ascii_not_semisimple(self):
+        assert invoke(["wedderburn", "--group", "S3", "--q", "3"]) == (0, "semisimple: false\n", "")
+
+
+class TestErrorOrder:
+    def test_spec_error_outranks_size_guard(self):
+        # C100 alone is over the order cap; the bad atom after it is reported first
+        code, out, err = invoke(["certify", "--group", "C100xQ8", "--q", "5"])
+        assert code == 1 and out == ""
+        assert err == "error: cannot parse group atom 'Q8' (at position 5)\n"
+
+    def test_usage_error_leaves_later_commands_as_in_a_fresh_process(self):
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(groupk.__file__))}
+        argvs = [
+            ["certify", "--group", "C2xC2"],
+            ["certify", "--group", "C2xC2", "--q", "5", "--format", "json"],
+            ["kfield", "--q", "4", "--max-degree", "x"],
+            ["homology", "--group", "S3", "--max-degree", "3"],
+        ]
+        for argv in argvs:
+            fresh = subprocess.run([sys.executable, "-m", "groupk", *argv], env=env,
+                                   capture_output=True, text=True, timeout=60)
+            assert invoke(argv) == (fresh.returncode, fresh.stdout, fresh.stderr)

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from groupk.abelian import FgAbelianGroup
-from groupk.cli import parse_group_spec
+from groupk.cli import parse_group
 from groupk.errors import NotAbelian, NotSemisimple
 from groupk.groups import conjugacy_classes, cyclic, dihedral, direct_product, symmetric
 from groupk.grouprings import (
@@ -142,7 +142,7 @@ class TestAbelianWedderburn:
 
     def test_summary_not_semisimple(self):
         w = wedderburn_summary(symmetric(3), Q3)
-        assert w == WedderburnSummary(False, 0, None, "q-classes")
+        assert w == WedderburnSummary(False, 0, None)
 
 
 class TestKGroupRing:
@@ -188,7 +188,7 @@ class TestKGroupRing:
 
 
 ORACLE_GROUPS = {
-    spec: parse_group_spec(spec).build()
+    spec: parse_group(spec)
     for spec in (
         "C1", "C6", "C12", "C2xC4", "C3xC3", "S3", "D4", "D5", "D6",
         "perm:(1 2 3 4)(5 6 7 8);(1 5 3 7)(2 8 4 6)",  # Q8
