@@ -23,13 +23,14 @@ class WedderburnSummary:
     """Shape of the Artin-Wedderburn decomposition of F_q[G]."""
 
     semisimple: bool
-    d: int
+    d: int | None  # None when F_q[G] is not semisimple
     field_degrees: tuple[int, ...] | None
     method: ClassVar[str] = "q-classes"
 
     def to_json(self) -> dict:
-        out = {"semisimple": self.semisimple, "d": self.d, "method": self.method}
-        if self.field_degrees is not None:
+        out = {"semisimple": self.semisimple, "d": self.d}
+        if self.semisimple:
+            out["method"] = self.method
             out["field_degrees"] = list(self.field_degrees)
         return out
 
@@ -83,7 +84,7 @@ def component_count(G: FiniteGroup, q: PrimePower) -> int:
 def wedderburn_summary(G: FiniteGroup, q: PrimePower) -> WedderburnSummary:
     """Component count and sorted component field degrees over F_q, for any G."""
     if not is_semisimple(G, q):
-        return WedderburnSummary(semisimple=False, d=0, field_degrees=None)
+        return WedderburnSummary(semisimple=False, d=None, field_degrees=None)
     degrees = tuple(sorted(len(o) for o in _frobenius_orbits(G, q)))
     return WedderburnSummary(semisimple=True, d=len(degrees), field_degrees=degrees)
 

@@ -62,17 +62,20 @@ def bar_boundary(
     nonid = range(1, G.order)
     lower = list(itertools.product(nonid, repeat=n - 1))
     lower_index = {t: k for k, t in enumerate(lower)}
-    entries: dict[tuple[int, int], int] = {}
+    rows: dict[int, dict[int, int]] = {}
 
     def add(row_tuple, col, sign):
         if 0 in row_tuple:
             return  # normalization: faces through the identity vanish
         r = lower_index[row_tuple]
-        v = entries.get((r, col), 0) + sign
+        row = rows.setdefault(r, {})
+        v = row.get(col, 0) + sign
         if v == 0:
-            entries.pop((r, col), None)
+            del row[col]  # two faces of this column cancel
+            if not row:
+                del rows[r]
         else:
-            entries[(r, col)] = v
+            row[col] = v
 
     for col, g in enumerate(itertools.product(nonid, repeat=n)):
         add(g[1:], col, 1)
@@ -82,7 +85,7 @@ def bar_boundary(
             add(merged, col, sign)
             sign = -sign
         add(g[:-1], col, sign)
-    return IntegerMatrix(len(lower), (G.order - 1) ** n, entries, entry_limit=None)
+    return IntegerMatrix.from_row_dicts(len(lower), (G.order - 1) ** n, rows)
 
 
 class _BarComplex:

@@ -1,9 +1,11 @@
 """Exact integer linear algebra: Smith normal form and chain-segment homology.
 
-Matrices carry arbitrary-precision Python integers.  Storage is a sparse map
-of nonzero entries behind a dense (rows x cols) contract; boundary matrices of
-bar complexes are overwhelmingly zero and a dense layout would not fit in
-memory at degree 5.
+Matrices carry arbitrary-precision Python integers.  Storage is one dict per
+nonzero row, {row: {col: value}} with no stored zeros and no empty rows,
+behind a dense (rows x cols) contract; boundary matrices of bar complexes are
+overwhelmingly zero and a dense layout would not fit in memory at degree 5.
+The bar complex builds its boundaries in this layout, and the d^2 check and
+Smith elimination read it as it stands.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ DEFAULT_ENTRY_LIMIT = 10**6
 
 
 class IntegerMatrix:
-    """Immutable dense-semantics integer matrix with sparse storage."""
+    """Immutable dense-semantics integer matrix with sparse row storage."""
 
     __slots__ = ("rows", "cols", "_data")
 
@@ -32,14 +34,25 @@ class IntegerMatrix:
             )
         self.rows = rows
         self.cols = cols
-        data = {}
+        data: dict[int, dict[int, int]] = {}
         if entries:
             for (i, j), v in entries.items():
                 if not (0 <= i < rows and 0 <= j < cols):
                     raise ValueError(f"entry index ({i}, {j}) out of range")
                 if v != 0:
-                    data[(i, j)] = v
+                    data.setdefault(i, {})[j] = v
         self._data = data
+
+    @classmethod
+    def from_row_dicts(cls, rows, cols, data: dict[int, dict[int, int]]) -> "IntegerMatrix":
+        """Adopt `data`, {row: {col: value}}, without copying or checking it.
+
+        The caller built it in range, with no zero value and no empty row,
+        and hands it over: it must not change it afterwards.
+        """
+        A = cls.__new__(cls)
+        A.rows, A.cols, A._data = rows, cols, data
+        return A
 
     @classmethod
     def from_rows(cls, rows_list, *, entry_limit=DEFAULT_ENTRY_LIMIT):
@@ -60,54 +73,48 @@ class IntegerMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, {(i, i): 1 for i in range(n)}, entry_limit=None)
+        return cls.from_row_dicts(n, n, {i: {i: 1} for i in range(n)})
 
     def get(self, i, j) -> int:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError((i, j))
-        return self._data.get((i, j), 0)
+        row = self._data.get(i)
+        return row.get(j, 0) if row else 0
 
     def to_rows(self) -> list[list[int]]:
         out = [[0] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self._data.items():
-            out[i][j] = v
+        for i, row in self._data.items():
+            for j, v in row.items():
+                out[i][j] = v
         return out
 
     def nonzero_count(self) -> int:
-        return len(self._data)
+        return sum(map(len, self._data.values()))
 
     def is_zero(self) -> bool:
         return not self._data
 
     def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix(
-            self.cols, self.rows,
-            {(j, i): v for (i, j), v in self._data.items()},
-            entry_limit=None,
-        )
+        data: dict[int, dict[int, int]] = {}
+        for i, row in self._data.items():
+            for j, v in row.items():
+                data.setdefault(j, {})[i] = v
+        return IntegerMatrix.from_row_dicts(self.cols, self.rows, data)
 
     def matmul(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        rows_self: dict[int, dict[int, int]] = {}
-        for (i, k), v in self._data.items():
-            rows_self.setdefault(i, {})[k] = v
-        rows_other: dict[int, dict[int, int]] = {}
-        for (k, j), v in other._data.items():
-            rows_other.setdefault(k, {})[j] = v
-        entries: dict[tuple[int, int], int] = {}
-        for i, row in rows_self.items():
+        rows_other = other._data
+        data: dict[int, dict[int, int]] = {}
+        for i, row in self._data.items():
             acc: dict[int, int] = {}
             for k, v in row.items():
-                brow = rows_other.get(k)
-                if not brow:
-                    continue
-                for j, w in brow.items():
+                for j, w in rows_other.get(k, {}).items():
                     acc[j] = acc.get(j, 0) + v * w
-            for j, s in acc.items():
-                if s != 0:
-                    entries[(i, j)] = s
-        return IntegerMatrix(self.rows, other.cols, entries, entry_limit=None)
+            acc = {j: s for j, s in acc.items() if s != 0}
+            if acc:
+                data[i] = acc
+        return IntegerMatrix.from_row_dicts(self.rows, other.cols, data)
 
     def __eq__(self, other):
         return (
@@ -118,12 +125,14 @@ class IntegerMatrix:
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, frozenset(self._data.items())))
+        return hash((self.rows, self.cols, frozenset(
+            (i, j, v) for i, row in self._data.items() for j, v in row.items()
+        )))
 
     def __repr__(self):
         if self.rows * self.cols <= 64:
             return f"IntegerMatrix({self.to_rows()!r})"
-        return f"IntegerMatrix({self.rows}x{self.cols}, {len(self._data)} nonzero)"
+        return f"IntegerMatrix({self.rows}x{self.cols}, {self.nonzero_count()} nonzero)"
 
 
 @dataclass(frozen=True)
@@ -229,11 +238,11 @@ def smith_diagonal(A: IntegerMatrix) -> list[int]:
     each unit elimination splits off an invariant factor 1 by unimodular
     operations.
     """
-    rows: dict[int, dict[int, int]] = {}
+    rows = {i: dict(row) for i, row in A._data.items()}  # reduced in place
     colcount: dict[int, int] = {}  # live entries per column: all fill_score reads
-    for (i, j), v in A._data.items():
-        rows.setdefault(i, {})[j] = v
-        colcount[j] = colcount.get(j, 0) + 1
+    for row in rows.values():
+        for j in row:
+            colcount[j] = colcount.get(j, 0) + 1
 
     # A heap key packs (score, row, column) into one int that sorts as the
     # tuple would: score << 2s | row << s | column, each index below 2**s.

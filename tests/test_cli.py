@@ -346,6 +346,11 @@ class TestExactText:
     def test_wedderburn_ascii_not_semisimple(self):
         assert invoke(["wedderburn", "--group", "S3", "--q", "3"]) == (0, "semisimple: false\n", "")
 
+    def test_wedderburn_json_not_semisimple(self):
+        # no decomposition, so no component count and no method
+        assert invoke(["wedderburn", "--group", "S3", "--q", "3", "--format", "json"]) == (
+            0, '{\n  "semisimple": false,\n  "d": null\n}\n', "")
+
 
 class TestErrorOrder:
     def test_spec_error_outranks_size_guard(self):

@@ -142,7 +142,7 @@ class TestAbelianWedderburn:
 
     def test_summary_not_semisimple(self):
         w = wedderburn_summary(symmetric(3), Q3)
-        assert w == WedderburnSummary(False, 0, None)
+        assert w == WedderburnSummary(False, None, None)
 
 
 class TestKGroupRing:

@@ -2,11 +2,12 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from groupk import intlinalg
 from groupk.abelian import FgAbelianGroup
 from groupk.errors import NotAComplex, TooLarge
-from groupk.groups import cyclic, dihedral, direct_product, symmetric
+from groupk.groups import cyclic, dihedral, direct_product, permutation_closure, symmetric
 from groupk.homology import bar_boundary
 from groupk.intlinalg import (
     IntegerMatrix,
@@ -28,8 +29,8 @@ def assert_snf_invariants(mat_rows):
     assert abs(det(snf.U.to_rows())) == 1
     assert abs(det(snf.V.to_rows())) == 1
     # D diagonal, nonnegative, divisibility chain
-    for (i, j), v in snf.D._data.items():
-        assert i == j
+    for i, row in snf.D._data.items():
+        assert list(row) == [i]
     diag = list(snf.diagonal)
     assert all(d >= 0 for d in diag)
     nonzero = [d for d in diag if d != 0]
@@ -105,7 +106,8 @@ def same_pivots(monkeypatch):
     def check(A):
         seen.clear()
         diag = smith_diagonal(A)
-        ones, dense = unit_pivot_phase(A._data)
+        ones, dense = unit_pivot_phase(
+            {(i, j): v for i, row in A._data.items() for j, v in row.items()})
         assert [handed for handed, _ in seen] == ([] if dense is None else [dense])
         tail = [d for _, out in seen for d in out if d != 0]
         assert diag == [1] * ones + tail + [0] * (min(A.rows, A.cols) - ones - len(tail))
@@ -145,6 +147,21 @@ class TestUnitPivotPhase:
 
 
 class TestSmithMemory:
+    def test_bar_boundary_bytes_per_nonzero(self):
+        # built straight into row dicts: no (i, j) tuple keys, no second copy
+        G = cyclic(7)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            A = bar_boundary(G, 4)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (A.rows, A.cols, A.nonzero_count()) == (216, 1296, 5826)
+        assert kept - before <= 80 * A.nonzero_count()
+        assert peak - before <= 100 * A.nonzero_count()
+
     def test_unit_phase_peak_per_nonzero(self):
         # the unit phase keeps one count per column, not a set of rows
         A = bar_boundary(cyclic(7), 4)
@@ -156,6 +173,53 @@ class TestSmithMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 320 * A.nonzero_count()
+
+
+# every builder group of order <= 8, Q8 as a permutation closure
+BUILDER_GROUPS = {
+    **PIVOT_GROUPS,
+    "C1": cyclic(1), "D2": dihedral(2), "D3": dihedral(3),
+    "Q8": permutation_closure([(1, 2, 3, 0, 5, 6, 7, 4), (4, 7, 6, 5, 2, 1, 0, 3)]),
+}
+
+
+class TestRowStorage:
+    @pytest.mark.parametrize("name", sorted(BUILDER_GROUPS))
+    def test_bar_boundaries_store_only_nonzeros(self, name):
+        for n in range(1, 5):
+            A = bar_boundary(BUILDER_GROUPS[name], n)
+            assert all(row and all(row.values()) for row in A._data.values())
+            entries = {(i, j): v for i, row in enumerate(A.to_rows()) for j, v in enumerate(row)}
+            assert A == IntegerMatrix(A.rows, A.cols, entries, entry_limit=None)
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_operations_match_row_lists(self, data):
+        def matrix(m, n):
+            entries = data.draw(st.dictionaries(
+                st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)),
+                st.integers(-2, 2), max_size=m * n)) if m and n else {}
+            A = IntegerMatrix(m, n, entries)
+            assert A.to_rows() == [[entries.get((i, j), 0) for j in range(n)] for i in range(m)]
+            return A, A.to_rows()
+
+        def from_lists(m, n, rows):
+            # through the checked (i, j) constructor, which drops zeros
+            return IntegerMatrix(m, n, {(i, j): rows[i][j] for i in range(m) for j in range(n)})
+
+        m, k, n = (data.draw(st.integers(0, 5)) for _ in range(3))
+        A, a = matrix(m, k)
+        B, b = matrix(k, n)
+        assert [[A.get(i, j) for j in range(k)] for i in range(m)] == a
+        assert A.nonzero_count() == sum(v != 0 for row in a for v in row)
+        assert A.is_zero() == (A.nonzero_count() == 0)
+        at = [[a[i][j] for i in range(m)] for j in range(k)]
+        assert A.transpose().to_rows() == at and A.transpose() == from_lists(k, m, at)
+        ab = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(n)] for i in range(m)]
+        assert A.matmul(B).to_rows() == ab and A.matmul(B) == from_lists(m, n, ab)
+        C, c = matrix(m, k)
+        assert (A == C) == (a == c)
+        assert A == from_lists(m, k, a) and hash(A) == hash(from_lists(m, k, a))
 
 
 class TestRank:
