@@ -233,50 +233,56 @@ def _dense_diagonal(mat: list[list[int]], U=None, V=None) -> list[int]:
 def smith_diagonal(A: IntegerMatrix) -> list[int]:
     """Smith diagonal of A (no transform matrices), sparse-aware.
 
-    Unit pivots are eliminated first with a minimum-fill heuristic; whatever
-    survives is finished by the dense routine.  The two phases agree because
-    each unit elimination splits off an invariant factor 1 by unimodular
-    operations.
+    Unit pivots go first, by Markowitz's minimum-fill rule: a +-1 entry of
+    least (row length - 1) * (column count - 1), found through a heap of row
+    keys.  The dense routine finishes the rest; the phases agree as each unit
+    pivot splits off an invariant factor 1 by unimodular operations.
     """
     rows = {i: dict(row) for i, row in A._data.items()}  # reduced in place
-    colcount: dict[int, int] = {}  # live entries per column: all fill_score reads
+    colcount: dict[int, int] = {}  # live entries per column: every score reads
     for row in rows.values():
         for j in row:
             colcount[j] = colcount.get(j, 0) + 1
 
-    # A heap key packs (score, row, column) into one int that sorts as the
-    # tuple would: score << 2s | row << s | column, each index below 2**s.
+    # A heap key packs (score, row) into one int that sorts as the tuple
+    # would: score << s | row, each row index below 2**s.
     s = max(A.rows, A.cols).bit_length()
-    s2, mask = 2 * s, (1 << s) - 1
+    mask = (1 << s) - 1
 
-    def fill_score(i, j):
-        return ((len(rows[i]) - 1) * (colcount[j] - 1)) << s2 | i << s | j
+    def best_unit(i):
+        """(key, column) of row i's unit in its sparsest column, or None."""
+        row = rows[i]
+        best = min(((colcount[j], j) for j, v in row.items() if v == 1 or v == -1), default=None)
+        if best is None:
+            return None
+        return ((len(row) - 1) * (best[0] - 1)) << s | i, best[1]
 
-    heap: list[int] = []
-    for i in sorted(rows):
-        for j, v in rows[i].items():
-            if v in (1, -1):
-                heapq.heappush(heap, fill_score(i, j))
+    heap = [kj[0] for kj in map(best_unit, rows) if kj is not None]
+    heapq.heapify(heap)
+    pending = {key & mask: 1 for key in heap}  # keys each row has in the heap
 
     ones = 0
     while heap:
         key = heapq.heappop(heap)
-        i, j = key >> s & mask, key & mask
-        row = rows.get(i)
-        if row is None:
+        i = key & mask
+        if i not in rows:
             continue
-        v = row.get(j)
-        if v not in (1, -1):
+        pending[i] -= 1
+        kj = best_unit(i)
+        if kj is None:
             continue
-        cur = fill_score(i, j)
-        if cur > key and heap and heap[0] >> s2 < cur >> s2:
-            heapq.heappush(heap, cur)
+        cur, j = kj
+        if cur > key and heap and heap[0] >> s < cur >> s:
+            if not pending[i]:  # else a later key of row i rescores it
+                pending[i] = 1
+                heapq.heappush(heap, cur)
             continue
         # eliminate the pivot: clear column j by row operations, drop row i / col j
         prow = rows.pop(i)
+        v = prow[j]
         for jj in prow:
             colcount[jj] -= 1
-        # ascending rows, as the pushes below read counts mid-update
+        # ascending rows, as the keys pushed below read counts mid-update
         for r in sorted(r for r, rrow in rows.items() if j in rrow):
             rrow = rows[r]
             c = rrow.pop(j)
@@ -293,10 +299,11 @@ def smith_diagonal(A: IntegerMatrix) -> list[int]:
                     if jj not in rrow:
                         colcount[jj] += 1
                     rrow[jj] = nv
-                    if nv in (1, -1):
-                        heapq.heappush(heap, fill_score(r, jj))
             if not rrow:
                 del rows[r]
+            elif (kj := best_unit(r)) is not None:
+                pending[r] = pending.get(r, 0) + 1
+                heapq.heappush(heap, kj[0])
         del colcount[j]
         ones += 1
 

@@ -37,6 +37,9 @@ class TestE2Page:
     def test_negative_rows_implicitly_zero(self):
         page = e2_page(C2xC2, Q5, 2)
         assert page.entry(1, -1) == trivial
+        for p, q in ((3, 0), (0, 3), (2, 1), (-1, 0)):
+            with pytest.raises(KeyError):
+                page.entry(p, q)
 
     def test_corner_and_h2(self):
         page = e2_page(C2xC2, Q5, 3)

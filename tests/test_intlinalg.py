@@ -88,31 +88,26 @@ class TestSmithNormalForm:
             assert_snf_invariants(rows)
 
 
-@pytest.fixture
-def same_pivots(monkeypatch):
-    """Check smith_diagonal(A) against the reference unit-pivot phase: the same
-    matrix reaches the dense tail and the same diagonal comes out."""
-    seen = []
-    real = intlinalg._dense_diagonal
+def same_diagonal(A):
+    """Check smith_diagonal(A) against the reference unit-pivot phase followed
+    by the dense routine on what it leaves, and against the dense Smith form
+    when A is small.  The pivot order is free; the diagonal is not, and the
+    unit phase must leave no +-1 entry for the dense tail."""
+    dense_diagonal = intlinalg._dense_diagonal
 
-    def capture(mat, *args):
-        handed = [row[:] for row in mat]
-        out = real(mat, *args)
-        seen.append((handed, out))
-        return out
+    def unitless(mat):
+        assert all(v != 1 and v != -1 for row in mat for v in row)
+        return dense_diagonal(mat)
 
-    monkeypatch.setattr(intlinalg, "_dense_diagonal", capture)
-
-    def check(A):
-        seen.clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(intlinalg, "_dense_diagonal", unitless)
         diag = smith_diagonal(A)
-        ones, dense = unit_pivot_phase(
-            {(i, j): v for i, row in A._data.items() for j, v in row.items()})
-        assert [handed for handed, _ in seen] == ([] if dense is None else [dense])
-        tail = [d for _, out in seen for d in out if d != 0]
-        assert diag == [1] * ones + tail + [0] * (min(A.rows, A.cols) - ones - len(tail))
-
-    return check
+    ones, dense = unit_pivot_phase(
+        {(i, j): v for i, row in A._data.items() for j, v in row.items()})
+    tail = [] if dense is None else [d for d in dense_diagonal(dense) if d != 0]
+    assert diag == [1] * ones + tail + [0] * (min(A.rows, A.cols) - ones - len(tail))
+    if A.rows * A.cols <= 400:
+        assert tuple(diag) == smith_normal_form(A).diagonal
 
 
 PIVOT_GROUPS = {
@@ -129,11 +124,11 @@ EDGE_SIZES = (0, 1, 2, 3, 4, 7, 8, 9, 15, 16, 17)
 
 class TestUnitPivotPhase:
     @pytest.mark.parametrize("name", sorted(PIVOT_GROUPS))
-    def test_bar_boundaries_match_reference(self, name, same_pivots):
+    def test_bar_boundaries_match_reference(self, name):
         for n in range(1, 5):
-            same_pivots(bar_boundary(PIVOT_GROUPS[name], n))
+            same_diagonal(bar_boundary(PIVOT_GROUPS[name], n))
 
-    def test_random_sparse_match_reference(self, same_pivots):
+    def test_random_sparse_match_reference(self):
         rng = random.Random(8)
         values = (1, -1, 1, -1, 2, -2, 3, -5, 6)
         for _ in range(2000):
@@ -143,7 +138,7 @@ class TestUnitPivotPhase:
                 (i, j): rng.choice(values)
                 for i in range(m) for j in range(n) if rng.random() < density
             }
-            same_pivots(IntegerMatrix(m, n, entries))
+            same_diagonal(IntegerMatrix(m, n, entries))
 
 
 class TestSmithMemory:
@@ -163,16 +158,20 @@ class TestSmithMemory:
         assert peak - before <= 100 * A.nonzero_count()
 
     def test_unit_phase_peak_per_nonzero(self):
-        # the unit phase keeps one count per column, not a set of rows
-        A = bar_boundary(cyclic(7), 4)
-        assert (A.rows, A.cols, A.nonzero_count()) == (216, 1296, 5826)
-        tracemalloc.start()
-        try:
-            smith_diagonal(A)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 320 * A.nonzero_count()
+        # one count per column, not a set of rows; heap keys for rows, not for
+        # every unit entry
+        cases = [(cyclic(7), 4, (216, 1296, 5826), 160),
+                 (symmetric(3), 5, (625, 3125, 16240), 250)]
+        for G, n, shape, per_nonzero in cases:
+            A = bar_boundary(G, n)
+            assert (A.rows, A.cols, A.nonzero_count()) == shape
+            tracemalloc.start()
+            try:
+                smith_diagonal(A)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= per_nonzero * A.nonzero_count()
 
 
 # every builder group of order <= 8, Q8 as a permutation closure
