@@ -35,6 +35,7 @@ from .homology import (
     cyclic_homology_oracle,
     homology_with_coefficients,
     integral_homology,
+    integral_homology_sequence,
     kunneth_oracle,
 )
 from .kfield import PrimePower, k_finite_field, validate_prime_power

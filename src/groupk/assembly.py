@@ -19,8 +19,9 @@ from .groups import FiniteGroup
 from .grouprings import component_count, is_semisimple, k_group_ring
 from .homology import (
     DEFAULT_GENERATOR_LIMIT,
-    homology_with_coefficients,
     integral_homology,
+    integral_homology_sequence,
+    universal_coefficients,
 )
 from .kfield import PrimePower, k_finite_field
 
@@ -62,7 +63,7 @@ class E2Page:
     group: FiniteGroup
     q: PrimePower
     max_total_degree: int
-    entries: tuple  # ((p, q, FgAbelianGroup), ...) sorted by (q, p)
+    entries: tuple  # ((p, q, FgAbelianGroup), ...) in (q, p) order
 
     def entry(self, p: int, qdeg: int) -> FgAbelianGroup:
         if qdeg < 0:
@@ -80,18 +81,14 @@ def e2_page(
     *,
     generator_limit: int = DEFAULT_GENERATOR_LIMIT,
 ) -> E2Page:
-    """Populate E^2_{p,q} = H_p(G; K_q(F_q)) for the triangle p + q <= N."""
+    """Populate E^2_{p,q} = H_p(G; K_q(F_q)) for the triangle p + q <= N,
+    from one pass for H_0(G; Z) .. H_N(G; Z)."""
+    hs = integral_homology_sequence(G, max_total_degree, generator_limit=generator_limit)
     entries = []
     for qdeg in range(max_total_degree + 1):
         coeff = k_finite_field(q, qdeg)
-        # top degree first: the guards of H_N cover every degree below it
-        for p in range(max_total_degree - qdeg, -1, -1):
-            val = homology_with_coefficients(
-                G, p, coeff,
-                degree_cap=max_total_degree, generator_limit=generator_limit,
-            )
-            entries.append((p, qdeg, val))
-    entries.sort(key=lambda t: (t[1], t[0]))
+        for p in range(max_total_degree - qdeg + 1):
+            entries.append((p, qdeg, universal_coefficients(hs, p, coeff)))
     return E2Page(G, q, max_total_degree, tuple(entries))
 
 
@@ -102,28 +99,26 @@ class SurvivingTerm:
     justification: str
 
 
-def surviving_low_degree(page: E2Page) -> list[SurvivingTerm]:
+SURVIVING_TERMS = (
+    SurvivingTerm(0, 0, LOW_DEGREE_SURVIVAL),
+    SurvivingTerm(1, 0, LOW_DEGREE_SURVIVAL),
+    SurvivingTerm(0, 1, LOW_DEGREE_SURVIVAL),
+    SurvivingTerm(2, 0, EDGE_SURVIVAL),
+)
+
+
+def surviving_low_degree(page: E2Page) -> tuple[SurvivingTerm, ...]:
     """The four E^2 positions whose survival the argument quotes.
 
     (0,0), (1,0), (0,1) survive because the assembly map is injective in
     degrees 0 and 1; (2,0) = H_2(G) survives by the same lemma's edge
     argument.  All four are cited facts, not computed ones.
     """
-    return _surviving_terms(page.max_total_degree)
-
-
-def _surviving_terms(max_total_degree: int) -> list[SurvivingTerm]:
-    """The quoted surviving positions for a page through `max_total_degree`."""
-    if max_total_degree < 2:
+    if page.max_total_degree < 2:
         raise InsufficientDegrees(
-            f"page covers total degree {max_total_degree}, need >= 2"
+            f"page covers total degree {page.max_total_degree}, need >= 2"
         )
-    return [
-        SurvivingTerm(0, 0, LOW_DEGREE_SURVIVAL),
-        SurvivingTerm(1, 0, LOW_DEGREE_SURVIVAL),
-        SurvivingTerm(0, 1, LOW_DEGREE_SURVIVAL),
-        SurvivingTerm(2, 0, EDGE_SURVIVAL),
-    ]
+    return SURVIVING_TERMS
 
 
 @dataclass(frozen=True)
@@ -219,7 +214,7 @@ def certify_noninjectivity(
     return NonInjectivityCertificate(
         group=name, q=q.q, p=q.p, e=q.e,
         semisimple=semisimple, d=d, h2=h2, k2_group_ring=k2,
-        surviving_terms=tuple(_surviving_terms(2)),
+        surviving_terms=SURVIVING_TERMS,
         verdict=verdict, reason=reason,
         witness=witness, cited_assumptions=tuple(cited),
     )

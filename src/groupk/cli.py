@@ -23,7 +23,7 @@ from .groups import (
     permutation_closure,
     symmetric,
 )
-from .homology import DEFAULT_GENERATOR_LIMIT, integral_homology
+from .homology import DEFAULT_GENERATOR_LIMIT, integral_homology_sequence
 from .kfield import k_finite_field, validate_prime_power
 from .grouprings import wedderburn_summary
 
@@ -245,12 +245,7 @@ def run(argv, stdout=None, stderr=None) -> int:
             text = (_json({"q": qp.q, "p": qp.p, "e": qp.e, "degrees": _by_degree(ks)})
                     if as_json else _lines(f"K_{n}(F_{qp.q}) = {k}" for n, k in enumerate(ks)))
         elif args.command == "homology":
-            # top degree first: its guards cover every degree below it
-            hs = [
-                integral_homology(G, n, degree_cap=args.max_degree,
-                                  generator_limit=generator_limit)
-                for n in range(args.max_degree, -1, -1)
-            ][::-1]
+            hs = integral_homology_sequence(G, args.max_degree, generator_limit=generator_limit)
             text = (_json({"group": args.group, "degrees": _by_degree(hs)})
                     if as_json else _lines(f"H_{n}({args.group}) = {h}" for n, h in enumerate(hs)))
         elif args.command == "wedderburn":

@@ -1,10 +1,10 @@
 """Integral group homology from the normalized bar resolution, with oracles.
 
-The engine computes H_n(G; Z) from the bar complex; homology with (trivially
-acted-on) coefficients follows by universal coefficients.  Two independent
-oracles — the 2-periodic resolution for cyclic groups and the Kunneth formula
-for direct products — exist so the engine can be cross-checked, never trusted
-on its own.
+The engine computes H_0 .. H_N(G; Z) in one pass up the bar complex, keeping
+nothing between calls; homology with (trivially acted-on) coefficients follows
+by universal coefficients.  Two independent oracles — the 2-periodic
+resolution for cyclic groups and the Kunneth formula for direct products —
+exist so the engine can be cross-checked, never trusted on its own.
 """
 
 from __future__ import annotations
@@ -25,9 +25,14 @@ def bar_basis_dimension(G: FiniteGroup, n: int) -> int:
     return (G.order - 1) ** n
 
 
-def _check_guards(G, n, degree_cap, generator_limit):
+def _capped(n: int, degree_cap: int) -> int:
     if n > degree_cap:
         raise TooLarge(f"degree {n} exceeds the degree cap {degree_cap}")
+    return n
+
+
+def _check_guards(G, n, degree_cap, generator_limit):
+    _capped(n, degree_cap)
     if bar_basis_dimension(G, n) > generator_limit:
         raise TooLarge(
             f"bar basis in degree {n} has {bar_basis_dimension(G, n)} generators, "
@@ -88,33 +93,35 @@ def bar_boundary(
     return IntegerMatrix.from_row_dicts(len(lower), (G.order - 1) ** n, rows)
 
 
-class _BarComplex:
-    """The normalized bar complex of one group, built upward from d_1 as
-    degrees are asked for; each boundary d_k is built, checked against
-    d_{k-1} and Smith-reduced once.
+def integral_homology_sequence(
+    G: FiniteGroup,
+    top: int,
+    *,
+    generator_limit: int = DEFAULT_GENERATOR_LIMIT,
+) -> list[FgAbelianGroup]:
+    """[H_0(G; Z), ..., H_top(G; Z)] from one pass up the normalized bar complex.
 
-    Only the top boundary is kept, for the next d^2 = 0 check;
-    diagonals[k] is the Smith diagonal of d_k, where d_0 is the zero map.
+    The guards of d_1 .. d_{top+1} are checked lowest first before any is
+    built, so a request past a bound fails at once.  Each d_k is then built,
+    checked against d_{k-1} and Smith-reduced once; only d_{k-1} and its
+    diagonal are kept, and nothing outlives the call.
     """
-
-    def __init__(self, G: FiniteGroup):
-        self.G = G
-        self.top = IntegerMatrix.zero(0, 1)
-        self.diagonals: list[list[int]] = [[]]
-
-    def homology(self, n: int, degree_cap: int, generator_limit: int) -> FgAbelianGroup:
-        """H_n for n >= 1; the caller has checked every guard this call meets."""
-        for k in range(len(self.diagonals), n + 2):
-            d = bar_boundary(self.G, k, degree_cap=degree_cap, generator_limit=generator_limit)
-            check_complex(d, self.top)
-            self.top = d  # frees d_{k-1} before d_k is reduced
-            self.diagonals.append(intlinalg.smith_diagonal(d))
-        return homology_from_diagonals(
-            bar_basis_dimension(self.G, n), self.diagonals[n], self.diagonals[n + 1]
-        )
-
-
-_context: _BarComplex | None = None  # the last group's complex; one group at a time
+    if top < 0:
+        raise ValueError("homology degree must be >= 0")
+    if top == 0:
+        return [FgAbelianGroup.free(1)]
+    for k in range(1, top + 2):
+        _check_guards(G, k, top + 1, generator_limit)
+    groups = []
+    below, below_diagonal = IntegerMatrix.zero(0, 1), []  # d_0, the zero map
+    for k in range(1, top + 2):
+        d = bar_boundary(G, k, degree_cap=top, generator_limit=generator_limit)
+        check_complex(d, below)
+        below = d  # frees d_{k-1} before d_k is reduced
+        diagonal = intlinalg.smith_diagonal(d)
+        groups.append(homology_from_diagonals(bar_basis_dimension(G, k - 1), below_diagonal, diagonal))
+        below_diagonal = diagonal
+    return groups
 
 
 def integral_homology(
@@ -124,26 +131,21 @@ def integral_homology(
     degree_cap: int = DEFAULT_DEGREE_CAP,
     generator_limit: int = DEFAULT_GENERATOR_LIMIT,
 ) -> FgAbelianGroup:
-    """H_n(G; Z) in canonical form.
+    """H_n(G; Z) in canonical form: the last entry of the sequence through n."""
+    return integral_homology_sequence(
+        G, _capped(n, degree_cap), generator_limit=generator_limit)[-1]
 
-    The guards are checked on every call, before any memoised work is used
-    and before any boundary is built, so a request past a bound fails at once.
+
+def universal_coefficients(hs, n: int, coefficients: FgAbelianGroup) -> FgAbelianGroup:
+    """H_n(G; A) for trivially acted-on A from hs = [H_0(G; Z), ..., H_n(G; Z)]:
+    H_n(G; Z) (x) A  +  Tor(H_{n-1}(G; Z), A).
     """
-    if n < 0:
-        raise ValueError("homology degree must be >= 0")
-    if n > degree_cap:
-        raise TooLarge(f"degree {n} exceeds the degree cap {degree_cap}")
-    if n == 0:
-        return FgAbelianGroup.free(1)
-    global _context
-    cold = _context is None or _context.G != G
-    unbuilt = 1 if cold else len(_context.diagonals)  # the lowest degree not built
-    # every degree this call would build, lowest first, and the two it reads
-    for k in range(min(n, unbuilt), n + 2):
-        _check_guards(G, k, degree_cap + 1, generator_limit)
-    if cold:
-        _context = _BarComplex(G)
-    return _context.homology(n, degree_cap, generator_limit)
+    if coefficients.is_trivial():
+        return FgAbelianGroup.trivial()
+    part = tensor(hs[n], coefficients)
+    if n >= 1:
+        part = direct_sum_all([part, tor_product(hs[n - 1], coefficients)])
+    return part
 
 
 def homology_with_coefficients(
@@ -154,17 +156,11 @@ def homology_with_coefficients(
     degree_cap: int = DEFAULT_DEGREE_CAP,
     generator_limit: int = DEFAULT_GENERATOR_LIMIT,
 ) -> FgAbelianGroup:
-    """H_n(G; A) for trivially acted-on A, via universal coefficients:
-    H_n(G; Z) (x) A  +  Tor(H_{n-1}(G; Z), A).
-    """
+    """H_n(G; A) for trivially acted-on A; no boundary is built when A = 0."""
     if coefficients.is_trivial():
         return FgAbelianGroup.trivial()
-    hn = integral_homology(G, n, degree_cap=degree_cap, generator_limit=generator_limit)
-    part = tensor(hn, coefficients)
-    if n >= 1:
-        hprev = integral_homology(G, n - 1, degree_cap=degree_cap, generator_limit=generator_limit)
-        part = direct_sum_all([part, tor_product(hprev, coefficients)])
-    return part
+    hs = integral_homology_sequence(G, _capped(n, degree_cap), generator_limit=generator_limit)
+    return universal_coefficients(hs, n, coefficients)
 
 
 def cyclic_homology_oracle(m: int, n: int) -> FgAbelianGroup:
@@ -207,6 +203,4 @@ def kunneth_oracle(hA, hB, n: int) -> FgAbelianGroup:
 
 
 def clear_homology_cache():
-    """Drop the memoised chain: its top boundary and its Smith diagonals."""
-    global _context
-    _context = None
+    """A no-op: no homology work is kept between calls."""

@@ -6,13 +6,11 @@ import pytest
 sys.path.insert(0, os.path.dirname(__file__))
 
 from groupk import homology, intlinalg  # noqa: E402
-from groupk.homology import clear_homology_cache  # noqa: E402
 
 
 @pytest.fixture
 def smith_calls(monkeypatch):
-    """Shapes of the matrices smith_diagonal reduces, from a cold homology cache."""
-    clear_homology_cache()
+    """Shapes of the matrices smith_diagonal reduces."""
     calls = []
     real = intlinalg.smith_diagonal
 
@@ -21,14 +19,12 @@ def smith_calls(monkeypatch):
         return real(A)
 
     monkeypatch.setattr(intlinalg, "smith_diagonal", counting)
-    yield calls
-    clear_homology_cache()
+    return calls
 
 
 @pytest.fixture
 def built(monkeypatch):
-    """Degrees of the boundaries the homology engine builds, from a cold cache."""
-    clear_homology_cache()
+    """Degrees of the boundaries the homology engine builds."""
     degrees = []
     real = homology.bar_boundary
 

@@ -339,7 +339,8 @@ class TestExactText:
         (["certify", "--group", "C2xC2", "--q", "5"], "certify_C2xC2_q5.json"),
         (["homology", "--group", "S3", "--max-degree", "3"], "homology_S3_N3.json"),
         (["kfield", "--q", "4", "--max-degree", "3"], "kfield_q4_N3.json"),
-    ], ids=["certify", "homology", "kfield"])
+        (["e2page", "--group", "C2xC2", "--q", "5", "--max-degree", "3"], "e2page_C2xC2_q5_N3.json"),
+    ], ids=["certify", "homology", "kfield", "e2page"])
     def test_json(self, argv, name):
         assert invoke(argv + ["--format", "json"]) == (0, golden(name), "")
 

@@ -1,6 +1,6 @@
 import functools
+import gc
 import io
-import itertools
 import math
 from collections import Counter
 
@@ -25,9 +25,10 @@ from groupk.homology import (
     cyclic_homology_sequence,
     homology_with_coefficients,
     integral_homology,
+    integral_homology_sequence,
     kunneth_oracle,
 )
-from groupk.intlinalg import homology_of_pair
+from groupk.intlinalg import IntegerMatrix, homology_of_pair
 
 Z = FgAbelianGroup.free(1)
 trivial = FgAbelianGroup.trivial()
@@ -88,6 +89,7 @@ class TestIntegralHomology:
         g = cyclic(m)
         for n in range(5):
             assert integral_homology(g, n) == cyclic_homology_oracle(m, n)
+        assert integral_homology_sequence(g, 4) == cyclic_homology_sequence(m, 4)
 
     def test_degree_cap(self):
         with pytest.raises(TooLarge):
@@ -127,9 +129,18 @@ SMALL_GROUPS = {
 }
 
 
+def live_matrices():
+    gc.collect()
+    return sum(isinstance(obj, IntegerMatrix) for obj in gc.get_objects())
+
+
 class TestBarComplexContext:
-    def test_homology_reduces_each_boundary_once(self, smith_calls):
-        code = run(["homology", "--group", "C2xC2", "--max-degree", "4"], io.StringIO(), io.StringIO())
+    @pytest.mark.parametrize("argv", [
+        ["homology", "--group", "C2xC2", "--max-degree", "4"],
+        ["e2page", "--group", "C2xC2", "--q", "5", "--max-degree", "4"],
+    ], ids=["homology", "e2page"])
+    def test_homology_reduces_each_boundary_once(self, argv, smith_calls):
+        code = run(argv, io.StringIO(), io.StringIO())
         assert code == 0
         assert Counter(smith_calls) == {boundary_shape(4, k): 1 for k in range(1, 6)}
 
@@ -147,36 +158,25 @@ class TestBarComplexContext:
 
     @pytest.mark.parametrize("name", SMALL_GROUPS)
     def test_matches_homology_of_pair(self, name, built, smith_calls):
-        # in every request order, from cold: d_1 .. d_4 built and reduced once each
+        # one pass builds d_1 .. d_4 and reduces each once
         group = SMALL_GROUPS[name]
-        direct = {n: homology_of_pair(bar_boundary(group, n + 1), bar_boundary(group, n))
-                  for n in (1, 2, 3)}
-        for order in itertools.permutations(direct):
-            clear_homology_cache()
-            built.clear()
-            smith_calls.clear()
-            for n in order:
-                assert integral_homology(group, n) == direct[n]
-            assert built == [1, 2, 3, 4]
-            assert smith_calls == [boundary_shape(group.order, k) for k in range(1, 5)]
+        direct = [homology_of_pair(bar_boundary(group, n + 1), bar_boundary(group, n))
+                  for n in (1, 2, 3)]
+        built.clear()
+        smith_calls.clear()
+        assert integral_homology_sequence(group, 3) == [Z] + direct
+        assert built == [1, 2, 3, 4]
+        assert smith_calls == [boundary_shape(group.order, k) for k in range(1, 5)]
+        for n in (1, 2, 3):
+            assert integral_homology(group, n) == direct[n - 1]
 
-    def test_clear_cache_starts_cold(self, built, smith_calls):
+    def test_nothing_kept_between_calls(self, built, smith_calls):
         g = cyclic(4)
+        before = live_matrices()
         for _ in range(2):
             assert integral_homology(g, 2) == trivial
-        assert built == [1, 2, 3] and len(smith_calls) == 3
-        clear_homology_cache()
-        assert integral_homology(g, 2) == trivial
         assert built == [1, 2, 3, 1, 2, 3] and len(smith_calls) == 6
-
-    def test_another_group_replaces_the_context(self, smith_calls):
-        g, h = cyclic(4), cyclic(3)
-        for group in (g, h, g):
-            assert integral_homology(group, 2) == trivial
-        assert Counter(smith_calls) == {
-            boundary_shape(4, 1): 2, boundary_shape(4, 2): 2, boundary_shape(4, 3): 2,
-            boundary_shape(3, 1): 1, boundary_shape(3, 2): 1, boundary_shape(3, 3): 1,
-        }
+        assert live_matrices() == before
 
 
 class TestCyclicOracle:
@@ -226,6 +226,7 @@ class TestKunnethOracle:
         hb = cyclic_homology_sequence(b, 3)
         for n in range(4):
             assert integral_homology(g, n) == kunneth_oracle(ha, hb, n)
+        assert integral_homology_sequence(g, 3) == [kunneth_oracle(ha, hb, n) for n in range(4)]
 
     @settings(deadline=None)
     @given(cyclic_orders())
