@@ -17,13 +17,9 @@ from .abelian import FgAbelianGroup
 from .errors import InsufficientDegrees
 from .groups import FiniteGroup
 from .grouprings import component_count, is_semisimple, k_group_ring
-from .homology import (
-    DEFAULT_GENERATOR_LIMIT,
-    integral_homology,
-    integral_homology_sequence,
-    universal_coefficients,
-)
+from .homology import DEFAULT_GENERATOR_LIMIT, integral_homology_sequence, universal_coefficients
 from .kfield import PrimePower, k_finite_field
+from .resolution import resolution_homology_sequence
 
 NOT_INJECTIVE = "NOT_INJECTIVE"
 INCONCLUSIVE = "INCONCLUSIVE"
@@ -192,7 +188,7 @@ def certify_noninjectivity(
     vanishes (computed), so the assembly map has nonzero kernel in degree 2.
     """
     name = group_name or f"order-{G.order} group"
-    h2 = integral_homology(G, 2, generator_limit=generator_limit)
+    h2 = resolution_homology_sequence(G, 2, generator_limit=generator_limit)[2]
     semisimple = is_semisimple(G, q)
     cited = [LOW_DEGREE_SURVIVAL, EDGE_SURVIVAL]
     d = k2 = witness = None

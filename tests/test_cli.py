@@ -218,10 +218,21 @@ class TestInputErrors:
         (["certify", "--group", "C2xC24", "--q", "5"], "GROUPK_GENERATOR_LIMIT"),
         (["homology", "--group", "C100", "--max-degree", "2"], "GROUPK_ORDER_CAP"),
     ])
-    def test_size_guard_names_its_variable(self, argv, name):
+    def test_size_guard_names_its_variable(self, argv, name, monkeypatch):
+        # C2xC24 passes the default limits (see the next test); 100 refuses its
+        # resolution module of 3 x 48 generators over Z in degree 2
+        monkeypatch.setenv("GROUPK_GENERATOR_LIMIT", "100")
         code, out, err = invoke(argv)
         assert code == 1 and out == ""
         assert err.startswith("error:") and name in err
+
+    def test_certify_reaches_the_order_cap(self):
+        # order 48: the degree-3 bar basis would have 47^3 > 10^5 generators
+        code, out, err = invoke(["certify", "--group", "C2xC24", "--q", "5", "--format", "json"])
+        assert (code, err) == (0, "")
+        cert = json.loads(out)
+        assert cert["verdict"] == "NOT_INJECTIVE"
+        assert cert["h2"] == {"free_rank": 0, "invariant_factors": [2]}
 
 
 class TestOutputs:

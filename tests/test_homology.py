@@ -29,6 +29,7 @@ from groupk.homology import (
     kunneth_oracle,
 )
 from groupk.intlinalg import IntegerMatrix, homology_of_pair
+from groupk.resolution import resolution_homology_sequence
 
 Z = FgAbelianGroup.free(1)
 trivial = FgAbelianGroup.trivial()
@@ -192,11 +193,11 @@ class TestCyclicOracle:
 
 
 @st.composite
-def cyclic_orders(draw):
-    """1 to 3 cyclic orders whose product is at most 12."""
-    orders = [draw(st.integers(1, 12))]
+def cyclic_orders(draw, limit=12):
+    """1 to 3 cyclic orders whose product is at most limit."""
+    orders = [draw(st.integers(1, limit))]
     for _ in range(draw(st.integers(0, 2))):
-        orders.append(draw(st.integers(1, 12 // math.prod(orders))))
+        orders.append(draw(st.integers(1, limit // math.prod(orders))))
     return orders
 
 
@@ -239,6 +240,17 @@ class TestKunnethOracle:
             h = [kunneth_oracle(h, hm, n) for n in range(3)]
         for n in (1, 2):
             assert integral_homology(g, n) == h[n]
+
+    @settings(deadline=None)
+    @given(cyclic_orders(64))
+    def test_resolution_engine_matches_kunneth_on_random_products(self, orders):
+        # 1 to 3 cyclic factors of product <= 64, past the bar engine's reach
+        g = functools.reduce(direct_product, map(cyclic, orders))
+        h = cyclic_homology_sequence(orders[0], 2)
+        for m in orders[1:]:
+            hm = cyclic_homology_sequence(m, 2)
+            h = [kunneth_oracle(h, hm, n) for n in range(3)]
+        assert resolution_homology_sequence(g, 2) == h
 
 
 class TestCoefficients:
