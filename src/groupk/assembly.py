@@ -17,7 +17,7 @@ from .abelian import FgAbelianGroup
 from .errors import InsufficientDegrees
 from .groups import FiniteGroup
 from .grouprings import component_count, is_semisimple, k_group_ring
-from .homology import DEFAULT_GENERATOR_LIMIT, integral_homology_sequence, universal_coefficients
+from .homology import DEFAULT_GENERATOR_LIMIT, bar_homology_sequence, universal_coefficients
 from .kfield import PrimePower, k_finite_field
 from .resolution import resolution_homology_sequence
 
@@ -78,8 +78,8 @@ def e2_page(
     generator_limit: int = DEFAULT_GENERATOR_LIMIT,
 ) -> E2Page:
     """Populate E^2_{p,q} = H_p(G; K_q(F_q)) for the triangle p + q <= N,
-    from one pass for H_0(G; Z) .. H_N(G; Z)."""
-    hs = integral_homology_sequence(G, max_total_degree, generator_limit=generator_limit)
+    from one pass up the bar complex for H_0(G; Z) .. H_N(G; Z)."""
+    hs = bar_homology_sequence(G, max_total_degree, generator_limit=generator_limit)
     entries = []
     for qdeg in range(max_total_degree + 1):
         coeff = k_finite_field(q, qdeg)

@@ -1,10 +1,16 @@
-"""Integral group homology from the normalized bar resolution, with oracles.
+"""Integral group homology of finite groups, with oracles.
 
-The engine computes H_0 .. H_N(G; Z) in one pass up the bar complex, keeping
-nothing between calls; homology with (trivially acted-on) coefficients follows
-by universal coefficients.  Two independent oracles — the 2-periodic
-resolution for cyclic groups and the Kunneth formula for direct products —
-exist so the engine can be cross-checked, never trusted on its own.
+integral_homology_sequence computes H_0 .. H_N(G; Z) in one pass up the free
+ZG-resolution of groupk.resolution, keeping nothing between calls, after
+checking the request against the guards of the normalized bar complex: they
+still count bar generators, so the accepted domain is the bar engine's.
+bar_homology_sequence is that bar engine, the tests' reference.  e2_page runs
+on it until the benchmark stops keeping every op's stdout (ROADMAP item 1):
+switched over, e2page-bigq's peak RSS rose from about 35 to 125 MB.  Homology
+with (trivially acted-on) coefficients follows by universal coefficients.
+Two independent oracles — the 2-periodic resolution for cyclic groups and the
+Kunneth formula for direct products — exist so the engines can be
+cross-checked, never trusted on their own.
 """
 
 from __future__ import annotations
@@ -16,9 +22,9 @@ from .abelian import FgAbelianGroup, direct_sum_all, tensor, tor_product
 from .errors import InsufficientDegrees, TooLarge
 from .groups import FiniteGroup, cyclic
 from .intlinalg import IntegerMatrix, check_complex, homology_from_diagonals, homology_of_pair
+from .resolution import DEFAULT_GENERATOR_LIMIT, resolution_homology_sequence
 
 DEFAULT_DEGREE_CAP = 4
-DEFAULT_GENERATOR_LIMIT = 10**5
 
 
 def bar_basis_dimension(G: FiniteGroup, n: int) -> int:
@@ -93,7 +99,7 @@ def bar_boundary(
     return IntegerMatrix.from_row_dicts(len(lower), (G.order - 1) ** n, rows)
 
 
-def integral_homology_sequence(
+def bar_homology_sequence(
     G: FiniteGroup,
     top: int,
     *,
@@ -122,6 +128,24 @@ def integral_homology_sequence(
         groups.append(homology_from_diagonals(bar_basis_dimension(G, k - 1), below_diagonal, diagonal))
         below_diagonal = diagonal
     return groups
+
+
+def integral_homology_sequence(
+    G: FiniteGroup,
+    top: int,
+    *,
+    generator_limit: int = DEFAULT_GENERATOR_LIMIT,
+) -> list[FgAbelianGroup]:
+    """[H_0(G; Z), ..., H_top(G; Z)] from the free ZG-resolution.
+
+    The request is first checked against the bar guards of d_1 .. d_{top+1},
+    lowest first, so it is accepted or refused, with the same message,
+    exactly where bar_homology_sequence accepts or refuses it.
+    """
+    if top > 0:  # H_0 = Z needs no boundary, and is not guarded on the bar engine either
+        for k in range(1, top + 2):
+            _check_guards(G, k, top + 1, generator_limit)
+    return resolution_homology_sequence(G, top, generator_limit=generator_limit)
 
 
 def integral_homology(

@@ -26,8 +26,9 @@ from . import intlinalg
 from .abelian import FgAbelianGroup
 from .errors import TooLarge
 from .groups import FiniteGroup
-from .homology import DEFAULT_GENERATOR_LIMIT
 from .intlinalg import IntegerMatrix, check_complex, homology_from_diagonals
+
+DEFAULT_GENERATOR_LIMIT = 10**5
 
 # a fixed bound on lattice entries, so that entry growth fails fast; for H_2
 # no group tried up to the order cap needed more than 48 bits

@@ -9,6 +9,16 @@ import itertools
 import math
 
 
+def accepted_top(order, limit):
+    """The largest homology degree top that the bar guards accept for a group
+    of this order: every d_k through d_{top+1} has (order - 1)^k <= limit
+    generators, and k^2 <= limit."""
+    top = 0
+    while (order - 1) ** (top + 2) <= limit and (top + 2) ** 2 <= limit:
+        top += 1
+    return top
+
+
 def det(rows):
     """Determinant by permutation expansion; fine for n <= 5."""
     n = len(rows)

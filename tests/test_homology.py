@@ -2,7 +2,6 @@ import functools
 import gc
 import io
 import math
-from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -19,7 +18,9 @@ from groupk.groups import (
     symmetric,
 )
 from groupk.homology import (
+    DEFAULT_GENERATOR_LIMIT,
     bar_boundary,
+    bar_homology_sequence,
     clear_homology_cache,
     cyclic_homology_oracle,
     cyclic_homology_sequence,
@@ -29,7 +30,7 @@ from groupk.homology import (
     kunneth_oracle,
 )
 from groupk.intlinalg import IntegerMatrix, homology_of_pair
-from groupk.resolution import resolution_homology_sequence
+from oracles import accepted_top
 
 Z = FgAbelianGroup.free(1)
 trivial = FgAbelianGroup.trivial()
@@ -136,14 +137,19 @@ def live_matrices():
 
 
 class TestBarComplexContext:
-    @pytest.mark.parametrize("argv", [
-        ["homology", "--group", "C2xC2", "--max-degree", "4"],
-        ["e2page", "--group", "C2xC2", "--q", "5", "--max-degree", "4"],
+    @pytest.mark.parametrize("argv, built_degrees, shapes", [
+        # homology tensors the free resolution of C2xC2, of ranks 1 .. 5 over
+        # ZG, down to Z, and reads H_4 from the image of d_5 (x) Z, of rank 2
+        (["homology", "--group", "C2xC2", "--max-degree", "4"],
+         [], [(1, 2), (2, 3), (3, 4), (4, 5), (5, 2)]),
+        (["e2page", "--group", "C2xC2", "--q", "5", "--max-degree", "4"],
+         [1, 2, 3, 4, 5], [boundary_shape(4, k) for k in range(1, 6)]),
     ], ids=["homology", "e2page"])
-    def test_homology_reduces_each_boundary_once(self, argv, smith_calls):
+    def test_homology_reduces_each_boundary_once(self, argv, built_degrees, shapes, built, smith_calls):
         code = run(argv, io.StringIO(), io.StringIO())
         assert code == 0
-        assert Counter(smith_calls) == {boundary_shape(4, k): 1 for k in range(1, 6)}
+        assert built == built_degrees
+        assert smith_calls == shapes
 
     def test_guards_hold_after_memoised_work(self):
         g = cyclic(3)
@@ -159,24 +165,32 @@ class TestBarComplexContext:
 
     @pytest.mark.parametrize("name", SMALL_GROUPS)
     def test_matches_homology_of_pair(self, name, built, smith_calls):
-        # one pass builds d_1 .. d_4 and reduces each once
+        # one pass of each engine: the bar engine builds d_1 .. d_4 and reduces
+        # each once; the resolution builds no bar boundary and reduces one
+        # tensored boundary per degree, each starting where the one below ends
         group = SMALL_GROUPS[name]
-        direct = [homology_of_pair(bar_boundary(group, n + 1), bar_boundary(group, n))
-                  for n in (1, 2, 3)]
+        direct = [Z] + [homology_of_pair(bar_boundary(group, n + 1), bar_boundary(group, n))
+                        for n in (1, 2, 3)]
         built.clear()
         smith_calls.clear()
-        assert integral_homology_sequence(group, 3) == [Z] + direct
+        assert bar_homology_sequence(group, 3) == direct
         assert built == [1, 2, 3, 4]
         assert smith_calls == [boundary_shape(group.order, k) for k in range(1, 5)]
+        built.clear()
+        smith_calls.clear()
+        assert integral_homology_sequence(group, 3) == direct
+        assert built == [] and len(smith_calls) == 4 and smith_calls[0][0] == 1
+        assert all(lower[1] == upper[0] for lower, upper in zip(smith_calls, smith_calls[1:]))
         for n in (1, 2, 3):
-            assert integral_homology(group, n) == direct[n - 1]
+            assert integral_homology(group, n) == direct[n]
 
     def test_nothing_kept_between_calls(self, built, smith_calls):
         g = cyclic(4)
         before = live_matrices()
         for _ in range(2):
             assert integral_homology(g, 2) == trivial
-        assert built == [1, 2, 3, 1, 2, 3] and len(smith_calls) == 6
+            assert bar_homology_sequence(g, 2)[2] == trivial
+        assert built == [1, 2, 3, 1, 2, 3] and len(smith_calls) == 12
         assert live_matrices() == before
 
 
@@ -225,9 +239,11 @@ class TestKunnethOracle:
         g = direct_product(cyclic(a), cyclic(b))
         ha = cyclic_homology_sequence(a, 3)
         hb = cyclic_homology_sequence(b, 3)
+        expected = [kunneth_oracle(ha, hb, n) for n in range(4)]
+        assert bar_homology_sequence(g, 3) == expected
+        assert integral_homology_sequence(g, 3) == expected
         for n in range(4):
-            assert integral_homology(g, n) == kunneth_oracle(ha, hb, n)
-        assert integral_homology_sequence(g, 3) == [kunneth_oracle(ha, hb, n) for n in range(4)]
+            assert integral_homology(g, n) == expected[n]
 
     @settings(deadline=None)
     @given(cyclic_orders())
@@ -238,19 +254,20 @@ class TestKunnethOracle:
         for m in orders[1:]:
             hm = cyclic_homology_sequence(m, 2)
             h = [kunneth_oracle(h, hm, n) for n in range(3)]
-        for n in (1, 2):
-            assert integral_homology(g, n) == h[n]
+        assert bar_homology_sequence(g, 2) == h
 
     @settings(deadline=None)
     @given(cyclic_orders(64))
     def test_resolution_engine_matches_kunneth_on_random_products(self, orders):
-        # 1 to 3 cyclic factors of product <= 64, past the bar engine's reach
+        # 1 to 3 cyclic factors of product <= 64, past the bar engine's reach,
+        # through the largest degree the guards accept (315 for C2)
         g = functools.reduce(direct_product, map(cyclic, orders))
-        h = cyclic_homology_sequence(orders[0], 2)
+        top = accepted_top(g.order, DEFAULT_GENERATOR_LIMIT)
+        h = cyclic_homology_sequence(orders[0], top)
         for m in orders[1:]:
-            hm = cyclic_homology_sequence(m, 2)
-            h = [kunneth_oracle(h, hm, n) for n in range(3)]
-        assert resolution_homology_sequence(g, 2) == h
+            hm = cyclic_homology_sequence(m, top)
+            h = [kunneth_oracle(h, hm, n) for n in range(top + 1)]
+        assert integral_homology_sequence(g, top) == h
 
 
 class TestCoefficients:

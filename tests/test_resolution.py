@@ -1,16 +1,25 @@
 """The free ZG-resolution engine against the bar engine and the oracles."""
 
 import functools
+import io
+import json
 import random
+import time
 
 import pytest
 
 from groupk import resolution
 from groupk.abelian import FgAbelianGroup
-from groupk.cli import parse_group
+from groupk.cli import parse_group, run
 from groupk.errors import NotAComplex, TooLarge
-from groupk.homology import cyclic_homology_sequence, integral_homology_sequence, kunneth_oracle
+from groupk.homology import (
+    DEFAULT_GENERATOR_LIMIT,
+    bar_homology_sequence,
+    cyclic_homology_sequence,
+    kunneth_oracle,
+)
 from groupk.resolution import resolution_homology_sequence
+from oracles import accepted_top
 
 Z = FgAbelianGroup.free(1)
 C = FgAbelianGroup.cyclic
@@ -57,28 +66,36 @@ def relabeled(G, seed, tmp_path):
     return parse_group(f"table:{path}")
 
 
-def dihedral_sequence(n):
-    """H_0..H_2 of D_n (order 2n) by the Schur rule: H_2 = Z/2 iff n is even."""
-    if n % 2:
-        return [Z, C(2), FgAbelianGroup.trivial()]
-    return [Z, FgAbelianGroup(0, (2, 2)), C(2)]
+def dihedral_sequence(n, top):
+    """H_0..H_top of D_n (order 2n).  For odd n every degree: from degree 1 on
+    the homology has period 4, Z/2, 0, Z/2n, 0.  For even n through degree 2
+    only, by the Schur rule: H_2 = Z/2."""
+    if n % 2 == 0:
+        return [Z, FgAbelianGroup(0, (2, 2)), C(2)][:top + 1]
+    period = (C(2), FgAbelianGroup.trivial(), C(2 * n), FgAbelianGroup.trivial())
+    return [Z] + [period[(k - 1) % 4] for k in range(1, top + 1)]
 
 
-def oracle_sequence(spec):
-    """H_0..H_2 of a product of C, D and S3 = D3 atoms from the cyclic oracle,
-    the Schur rule and Kunneth."""
+def oracle_sequence(spec, top=2):
+    """H_0..H_top of a product of builder atoms, S3 = D3, from the cyclic
+    oracle, the dihedral rules and Kunneth; only through degree 2 when an even
+    D_n or S4 (H_1 = H_2 = Z/2) is a factor."""
     seqs = []
     for atom in spec.split("x"):
         n = int(atom[1:])
-        seqs.append(cyclic_homology_sequence(n, 2) if atom[0] == "C" else dihedral_sequence(n))
-    return functools.reduce(lambda a, b: [kunneth_oracle(a, b, k) for k in range(3)], seqs)
+        if atom[0] == "C":
+            seqs.append(cyclic_homology_sequence(n, top))
+        else:
+            seqs.append([Z, C(2), C(2)][:top + 1] if atom == "S4" else dihedral_sequence(n, top))
+    length = min(map(len, seqs))
+    return functools.reduce(lambda a, b: [kunneth_oracle(a, b, k) for k in range(length)], seqs)
 
 
 class TestAgainstBarEngine:
     @pytest.mark.parametrize("spec", builder_specs(16) + [A4, Q8])
     def test_matches_bar_engine(self, spec, tmp_path):
         G = parse_group(spec)
-        expected = integral_homology_sequence(G, 2)
+        expected = bar_homology_sequence(G, 2)
         assert resolution_homology_sequence(G, 2) == expected
         for seed in (1, 2):
             assert resolution_homology_sequence(relabeled(G, seed, tmp_path), 2) == expected
@@ -91,7 +108,7 @@ class TestAgainstBarEngine:
     @pytest.mark.parametrize("spec", ["C1", "C2", "S3", "C2xC2"])
     def test_higher_degrees(self, spec):
         G = parse_group(spec)
-        assert resolution_homology_sequence(G, 4) == integral_homology_sequence(G, 4)
+        assert resolution_homology_sequence(G, 4) == bar_homology_sequence(G, 4)
 
     def test_degree_zero_and_negative(self):
         assert resolution_homology_sequence(parse_group("S3"), 0) == [Z]
@@ -109,6 +126,31 @@ class TestUpToTheOrderCap:
 
     def test_a5_schur_multiplier(self):
         assert resolution_homology_sequence(parse_group(A5), 2) == [Z, FgAbelianGroup.trivial(), C(2)]
+
+
+class TestGuardSweep:
+    """homology on every builder group up to the order cap, at the largest
+    degree the bar guards accept and at the first one they refuse."""
+
+    @pytest.mark.parametrize("limit", [DEFAULT_GENERATOR_LIMIT, 4, 16, 100, 1000])
+    def test_resolution_accepts_what_the_bar_guards_accept(self, limit, monkeypatch):
+        # so neither the resolution's generator_limit nor its ENTRY_BIT_LIMIT
+        # refuses an accepted request.  On the bar engine S3 through degree 6
+        # took 202.6 s, and C3xS3 through degree 3 about 72 s.
+        monkeypatch.setenv("GROUPK_GENERATOR_LIMIT", str(limit))
+        start = time.perf_counter()
+        for spec in builder_specs(64):
+            top = accepted_top(parse_group(spec).order, limit)
+            out, err = io.StringIO(), io.StringIO()
+            argv = ["homology", "--group", spec, "--format", "json", "--max-degree"]
+            assert (run(argv + [str(top)], out, err), err.getvalue()) == (0, ""), spec
+            oracle = oracle_sequence(spec, top)
+            degrees = json.loads(out.getvalue())["degrees"]
+            assert [d["group"] for d in degrees[:len(oracle)]] == [h.to_json() for h in oracle], spec
+            err = io.StringIO()
+            assert run(argv + [str(top + 1)], io.StringIO(), err) == 1, spec
+            assert err.getvalue().endswith(f"over the limit {limit} (GROUPK_GENERATOR_LIMIT)\n"), spec
+        assert time.perf_counter() - start < 30.0
 
 
 class TestChecksAndGuards:
