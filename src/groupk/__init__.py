@@ -16,7 +16,6 @@ from .errors import (
     TooLarge,
 )
 from .groups import (
-    ConjugacyClassSet,
     FiniteGroup,
     abelianization,
     conjugacy_classes,

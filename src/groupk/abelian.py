@@ -76,12 +76,6 @@ class FgAbelianGroup:
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.invariant_factors
 
-    def cardinality(self) -> int | float:
-        """Number of elements; math.inf when the free rank is positive."""
-        if self.free_rank > 0:
-            return math.inf
-        return math.prod(self.invariant_factors)
-
     def __str__(self) -> str:
         if self.is_trivial():
             return "0"

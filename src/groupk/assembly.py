@@ -53,21 +53,13 @@ class E2Page:
     """E^2_{p,q} = H_p(BG; K_q(F)) for p >= 0, q >= 0, p + q <= N.
 
     Rows with negative q vanish (negative K-groups of a field are zero) and
-    are stored implicitly.
+    are not stored.
     """
 
     group: FiniteGroup
     q: PrimePower
     max_total_degree: int
     entries: tuple  # ((p, q, FgAbelianGroup), ...) in (q, p) order
-
-    def entry(self, p: int, qdeg: int) -> FgAbelianGroup:
-        if qdeg < 0:
-            return FgAbelianGroup.trivial()
-        for ep, eq, val in self.entries:
-            if (ep, eq) == (p, qdeg):
-                return val
-        raise KeyError((p, qdeg))
 
 
 def e2_page(

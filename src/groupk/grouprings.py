@@ -54,25 +54,20 @@ def _frobenius_orbits(G: FiniteGroup, q: PrimePower) -> list[list[tuple[int, ...
     orbits.  Otherwise each walk stops at the first class already seen, so a
     class joins the group of the first class, in order, that reaches it.
     """
-    cc = conjugacy_classes(G)
-    class_of = {x: k for k, c in enumerate(cc.classes) for x in c}
-    image = [class_of[G.power(r, q.q)] for r in cc.representatives]
-    seen = [False] * len(cc)
+    classes = conjugacy_classes(G)
+    class_of = {x: k for k, c in enumerate(classes) for x in c}
+    image = [class_of[G.power(c[0], q.q)] for c in classes]
+    seen = [False] * len(classes)
     orbits = []
-    for k in range(len(cc)):
+    for k in range(len(classes)):
         orbit = []
         while not seen[k]:
             seen[k] = True
-            orbit.append(cc.classes[k])
+            orbit.append(classes[k])
             k = image[k]
         if orbit:
             orbits.append(orbit)
     return orbits
-
-
-def q_classes(G: FiniteGroup, q: PrimePower) -> list[list[int]]:
-    """Partition of G under x ~ g x^(q^m) g^{-1}: one block per Frobenius orbit."""
-    return [sorted(x for c in orbit for x in c) for orbit in _frobenius_orbits(G, q)]
 
 
 def component_count(G: FiniteGroup, q: PrimePower) -> int:

@@ -55,17 +55,6 @@ class FiniteGroup:
         return range(self.order)
 
 
-@dataclass(frozen=True)
-class ConjugacyClassSet:
-    """Partition of element indices under conjugation, one representative each."""
-
-    classes: tuple[tuple[int, ...], ...]
-    representatives: tuple[int, ...]
-
-    def __len__(self):
-        return len(self.classes)
-
-
 def _group(elements, mul) -> FiniteGroup:
     """The table of `mul` on `elements` (identity first), indexed in their order."""
     index = {x: k for k, x in enumerate(elements)}
@@ -196,11 +185,11 @@ def permutation_closure(generators, *, order_cap: int = DEFAULT_ORDER_CAP) -> Fi
     return _group(elements, _compose)
 
 
-def conjugacy_classes(G: FiniteGroup) -> ConjugacyClassSet:
+def conjugacy_classes(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """The conjugacy classes, each sorted ascending, in order of least element."""
     n = G.order
     seen = [False] * n
     classes = []
-    reps = []
     for x in range(n):
         if seen[x]:
             continue
@@ -208,8 +197,7 @@ def conjugacy_classes(G: FiniteGroup) -> ConjugacyClassSet:
         for y in orbit:
             seen[y] = True
         classes.append(tuple(orbit))
-        reps.append(orbit[0])
-    return ConjugacyClassSet(tuple(classes), tuple(reps))
+    return tuple(classes)
 
 
 def element_order(G: FiniteGroup, x: int) -> int:

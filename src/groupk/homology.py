@@ -52,6 +52,16 @@ def _check_guards(G, n, degree_cap, generator_limit):
         )
 
 
+def _check_request(G, top, generator_limit):
+    """Check a request for H_0 .. H_top against the guards of d_1 .. d_{top+1},
+    lowest first, before anything is built.  H_0 = Z alone needs no boundary."""
+    if top < 0:
+        raise ValueError("homology degree must be >= 0")
+    if top > 0:
+        for k in range(1, top + 2):
+            _check_guards(G, k, top + 1, generator_limit)
+
+
 def bar_boundary(
     G: FiniteGroup,
     n: int,
@@ -107,17 +117,13 @@ def bar_homology_sequence(
 ) -> list[FgAbelianGroup]:
     """[H_0(G; Z), ..., H_top(G; Z)] from one pass up the normalized bar complex.
 
-    The guards of d_1 .. d_{top+1} are checked lowest first before any is
-    built, so a request past a bound fails at once.  Each d_k is then built,
-    checked against d_{k-1} and Smith-reduced once; only d_{k-1} and its
-    diagonal are kept, and nothing outlives the call.
+    The request is checked first, so one past a bound fails at once.  Each
+    d_k is then built, checked against d_{k-1} and Smith-reduced once; only
+    d_{k-1} and its diagonal are kept, and nothing outlives the call.
     """
-    if top < 0:
-        raise ValueError("homology degree must be >= 0")
+    _check_request(G, top, generator_limit)
     if top == 0:
         return [FgAbelianGroup.free(1)]
-    for k in range(1, top + 2):
-        _check_guards(G, k, top + 1, generator_limit)
     groups = []
     below, below_diagonal = IntegerMatrix.zero(0, 1), []  # d_0, the zero map
     for k in range(1, top + 2):
@@ -138,13 +144,11 @@ def integral_homology_sequence(
 ) -> list[FgAbelianGroup]:
     """[H_0(G; Z), ..., H_top(G; Z)] from the free ZG-resolution.
 
-    The request is first checked against the bar guards of d_1 .. d_{top+1},
-    lowest first, so it is accepted or refused, with the same message,
-    exactly where bar_homology_sequence accepts or refuses it.
+    The request is checked first, as bar_homology_sequence checks it, so it
+    is accepted or refused, with the same message, exactly where the bar
+    engine accepts or refuses it.
     """
-    if top > 0:  # H_0 = Z needs no boundary, and is not guarded on the bar engine either
-        for k in range(1, top + 2):
-            _check_guards(G, k, top + 1, generator_limit)
+    _check_request(G, top, generator_limit)
     return resolution_homology_sequence(G, top, generator_limit=generator_limit)
 
 

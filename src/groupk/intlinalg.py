@@ -4,8 +4,9 @@ Matrices carry arbitrary-precision Python integers.  Storage is one dict per
 nonzero row, {row: {col: value}} with no stored zeros and no empty rows,
 behind a dense (rows x cols) contract; boundary matrices of bar complexes are
 overwhelmingly zero and a dense layout would not fit in memory at degree 5.
-The bar complex builds its boundaries in this layout, and the d^2 check and
-Smith elimination read it as it stands.
+The bar complex builds its boundaries in this layout, and the free
+ZG-resolution its boundaries tensored down to Z; the d^2 check and Smith
+elimination read it as it stands.
 """
 
 from __future__ import annotations
@@ -94,13 +95,6 @@ class IntegerMatrix:
     def is_zero(self) -> bool:
         return not self._data
 
-    def transpose(self) -> "IntegerMatrix":
-        data: dict[int, dict[int, int]] = {}
-        for i, row in self._data.items():
-            for j, v in row.items():
-                data.setdefault(j, {})[i] = v
-        return IntegerMatrix.from_row_dicts(self.cols, self.rows, data)
-
     def matmul(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
@@ -145,16 +139,14 @@ class SmithDecomposition:
     diagonal: tuple[int, ...]
 
 
-def _dense_diagonal(mat: list[list[int]], U=None, V=None) -> list[int]:
-    """Smith diagonal of a dense row-list matrix, which is reduced in place to D.
+def _dense_diagonal(mat: list[list[int]], m: int, n: int) -> list[int]:
+    """Smith diagonal of the leading m x n block of a dense row-list matrix.
 
-    With U and V given (row lists, identity to start), every row operation is
-    repeated on U and every column operation on V, so that U @ A @ V = D.
-    Pivot rule: smallest nonzero absolute value, ties by lowest (row, col).
+    The block is reduced in place to D; each row and column operation acts
+    on the whole row or column, so rows and columns past the block record
+    the transforms.  Pivot rule: smallest nonzero absolute value in the
+    block, ties by lowest (row, col).
     """
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    track = U is not None
 
     def pivot_to(t):
         # move the smallest entry of the trailing submatrix to (t, t)
@@ -170,24 +162,18 @@ def _dense_diagonal(mat: list[list[int]], U=None, V=None) -> list[int]:
         if best is None:
             return False
         _, pi, pj = best
-        for rows in (mat, U) if track else (mat,):
-            rows[t], rows[pi] = rows[pi], rows[t]
+        mat[t], mat[pi] = mat[pi], mat[t]
         if pj != t:
-            for row in mat + V if track else mat:
+            for row in mat:
                 row[t], row[pj] = row[pj], row[t]
         return True
 
     def add_row(src, dst, c):
         mat[dst] = [a + c * b for a, b in zip(mat[dst], mat[src])]
-        if track:
-            U[dst] = [a + c * b for a, b in zip(U[dst], U[src])]
 
     def add_col(src, dst, c, top):
-        for i in range(top, m):  # rows above `top` are zero in both columns
+        for i in range(top, len(mat)):  # rows above `top` are zero in both columns
             mat[i][dst] += c * mat[i][src]
-        if track:
-            for row in V:
-                row[dst] += c * row[src]
 
     diag = []
     for t in range(min(m, n)):
@@ -196,8 +182,6 @@ def _dense_diagonal(mat: list[list[int]], U=None, V=None) -> list[int]:
         while True:
             if mat[t][t] < 0:
                 mat[t] = [-v for v in mat[t]]
-                if track:
-                    U[t] = [-v for v in U[t]]
             p = mat[t][t]
             dirty = False
             for i in range(t + 1, m):
@@ -220,7 +204,7 @@ def _dense_diagonal(mat: list[list[int]], U=None, V=None) -> list[int]:
                 continue
             # row and column are clear; enforce divisibility
             offender = next(
-                (i for i in range(t + 1, m) if any(v % p for v in mat[i][t + 1:])), None
+                (i for i in range(t + 1, m) if any(v % p for v in mat[i][t + 1:n])), None
             )
             if offender is None:
                 break
@@ -316,7 +300,7 @@ def smith_diagonal(A: IntegerMatrix) -> list[int]:
         for k, r in enumerate(rem_rows):
             for j, v in rows[r].items():
                 dense[k][colpos[j]] = v
-        tail = [d for d in _dense_diagonal(dense) if d != 0]
+        tail = [d for d in _dense_diagonal(dense, len(rem_rows), len(rem_cols)) if d != 0]
     else:
         tail = []
     diag = [1] * ones + tail
@@ -331,18 +315,22 @@ def rank(A: IntegerMatrix) -> int:
 def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
     """Full Smith decomposition U @ A @ V = D with unimodular U, V.
 
-    Dense working copy; pivot is the smallest nonzero absolute value with ties
-    broken by lowest (row, col), which keeps the output deterministic.
+    The dense routine reduces the A block of [[A, I_m], [I_n, 0]]; its row
+    operations turn I_m into U and its column operations turn I_n into V.
+    The pivot rule keeps the output deterministic.
     """
     m, n = A.rows, A.cols
-    mat = A.to_rows()
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    diag = _dense_diagonal(mat, U, V)
+    mat = [row + [int(i == k) for k in range(m)] for i, row in enumerate(A.to_rows())]
+    mat += [[int(j == k) for k in range(n)] + [0] * m for j in range(n)]
+    diag = _dense_diagonal(mat, m, n)
+
+    def block(rows, cols):
+        return IntegerMatrix.from_rows([r[cols] for r in rows], entry_limit=None)
+
     return SmithDecomposition(
-        U=IntegerMatrix.from_rows(U, entry_limit=None) if m else IntegerMatrix.zero(0, 0),
-        D=IntegerMatrix.from_rows(mat, entry_limit=None) if m else IntegerMatrix.zero(0, n),
-        V=IntegerMatrix.from_rows(V, entry_limit=None) if n else IntegerMatrix.zero(0, 0),
+        U=block(mat[:m], slice(n, None)),
+        D=block(mat[:m], slice(n)) if m else IntegerMatrix.zero(0, n),
+        V=block(mat[m:], slice(n)),
         diagonal=tuple(diag),
     )
 

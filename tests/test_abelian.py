@@ -147,11 +147,6 @@ class TestOperations:
         assert tor_product(C(4), C(6)) == C(2)
         assert tor_product(FgAbelianGroup(0, (2, 2)), C(2)) == FgAbelianGroup(0, (2, 2))
 
-    def test_cardinality(self):
-        assert C(7).cardinality() == 7
-        assert Z.cardinality() == math.inf
-        assert FgAbelianGroup(0, (2, 4)).cardinality() == 8
-
     @given(small_groups, small_groups)
     def test_direct_sum_commutes(self, a, b):
         assert direct_sum(a, b) == direct_sum(b, a)

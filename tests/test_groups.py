@@ -3,6 +3,7 @@ import hashlib
 import pytest
 
 from groupk.abelian import FgAbelianGroup
+from groupk.cli import parse_group
 from groupk.errors import NotAGroup, TooLarge
 from groupk.groups import (
     abelianization,
@@ -120,16 +121,26 @@ class TestBuilders:
             permutation_closure([(1, 2, 3, 4, 0)], order_cap=3)
 
 
+# every builder group of order <= 24, A4 and Q8 as permutation closures
+CLASS_TEST_GROUPS = {
+    **dict(all_builders_upto(24)),
+    **{spec: parse_group(spec) for spec in (
+        "perm:(1 2 3);(2 3 4)",  # A4
+        "perm:(1 2 3 4)(5 6 7 8);(1 5 3 7)(2 8 4 6)",  # Q8
+    )},
+}
+
+
 class TestConjugacy:
     def test_cyclic4_singletons(self):
         cc = conjugacy_classes(cyclic(4))
         assert len(cc) == 4
-        assert all(len(c) == 1 for c in cc.classes)
+        assert all(len(c) == 1 for c in cc)
 
     def test_symmetric3_sizes(self):
         cc = conjugacy_classes(symmetric(3))
-        assert sorted(len(c) for c in cc.classes) == conjugacy_class_sizes_symmetric(3)
-        assert sorted(len(c) for c in cc.classes) == [1, 2, 3]
+        assert sorted(len(c) for c in cc) == conjugacy_class_sizes_symmetric(3)
+        assert sorted(len(c) for c in cc) == [1, 2, 3]
 
     def test_trivial(self):
         assert len(conjugacy_classes(cyclic(1))) == 1
@@ -137,11 +148,22 @@ class TestConjugacy:
     def test_identity_alone(self):
         for _, g in all_builders_upto(16):
             cc = conjugacy_classes(g)
-            assert (0,) in cc.classes
+            assert (0,) in cc
 
     def test_class_count_detects_abelian(self):
         for _, g in all_builders_upto(16):
             assert (len(conjugacy_classes(g)) == g.order) == g.is_abelian()
+
+    @pytest.mark.parametrize("name", CLASS_TEST_GROUPS)
+    def test_sorted_classes_partition_the_group(self, name):
+        # the Frobenius walk in grouprings takes each class's first element as its representative
+        g = CLASS_TEST_GROUPS[name]
+        classes = conjugacy_classes(g)
+        assert classes[0] == (0,)
+        assert all(c == tuple(sorted(set(c))) for c in classes)
+        assert [c[0] for c in classes] == sorted(c[0] for c in classes)
+        assert sorted(x for c in classes for x in c) == list(range(g.order))
+        assert all({g.conj(h, c[0]) for h in g.elements()} == set(c) for c in classes)
 
 
 class TestElementOrder:

@@ -131,6 +131,29 @@ SMALL_GROUPS = {
 }
 
 
+def outcome(engine, g, top, limit):
+    """The engine's sequence, or the message of the TooLarge it raised."""
+    try:
+        return engine(g, top, generator_limit=limit)
+    except TooLarge as exc:
+        return str(exc)
+
+
+class TestSharedRequestCheck:
+    @pytest.mark.parametrize("limit", [4, 16, 100])
+    @pytest.mark.parametrize("name", ["C1", "C2", "C3", "S3", "C2xC2"])
+    def test_engines_accept_and_refuse_alike(self, name, limit):
+        # at the largest degree the bar guards accept, and at the first they refuse
+        g = SMALL_GROUPS[name]
+        top = accepted_top(g.order, limit)
+        accepted = outcome(bar_homology_sequence, g, top, limit)
+        assert isinstance(accepted, list) and len(accepted) == top + 1
+        assert outcome(integral_homology_sequence, g, top, limit) == accepted
+        refused = outcome(bar_homology_sequence, g, top + 1, limit)
+        assert refused.endswith(f"over the limit {limit} (GROUPK_GENERATOR_LIMIT)")
+        assert outcome(integral_homology_sequence, g, top + 1, limit) == refused
+
+
 def live_matrices():
     gc.collect()
     return sum(isinstance(obj, IntegerMatrix) for obj in gc.get_objects())
