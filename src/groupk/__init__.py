@@ -51,7 +51,6 @@ from .assembly import (
     NonInjectivityCertificate,
     certify_noninjectivity,
     e2_page,
-    surviving_low_degree,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -14,7 +14,6 @@ from dataclasses import asdict, dataclass
 
 from . import __version__
 from .abelian import FgAbelianGroup
-from .errors import InsufficientDegrees
 from .groups import FiniteGroup
 from .grouprings import component_count, is_semisimple, k_group_ring
 from .homology import DEFAULT_GENERATOR_LIMIT, bar_homology_sequence, universal_coefficients
@@ -56,8 +55,6 @@ class E2Page:
     are not stored.
     """
 
-    group: FiniteGroup
-    q: PrimePower
     max_total_degree: int
     entries: tuple  # ((p, q, FgAbelianGroup), ...) in (q, p) order
 
@@ -77,7 +74,7 @@ def e2_page(
         coeff = k_finite_field(q, qdeg)
         for p in range(max_total_degree - qdeg + 1):
             entries.append((p, qdeg, universal_coefficients(hs, p, coeff)))
-    return E2Page(G, q, max_total_degree, tuple(entries))
+    return E2Page(max_total_degree, tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -93,20 +90,6 @@ SURVIVING_TERMS = (
     SurvivingTerm(0, 1, LOW_DEGREE_SURVIVAL),
     SurvivingTerm(2, 0, EDGE_SURVIVAL),
 )
-
-
-def surviving_low_degree(page: E2Page) -> tuple[SurvivingTerm, ...]:
-    """The four E^2 positions whose survival the argument quotes.
-
-    (0,0), (1,0), (0,1) survive because the assembly map is injective in
-    degrees 0 and 1; (2,0) = H_2(G) survives by the same lemma's edge
-    argument.  All four are cited facts, not computed ones.
-    """
-    if page.max_total_degree < 2:
-        raise InsufficientDegrees(
-            f"page covers total degree {page.max_total_degree}, need >= 2"
-        )
-    return SURVIVING_TERMS
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -227,13 +228,15 @@ def _by_degree(groups) -> list[dict]:
 def run(argv, stdout=None, stderr=None) -> int:
     """Dispatch a command line; returns the process exit code.
 
-    0: success (including verdict NOT_INJECTIVE); 1: usage or computation
-    error; 2: certify verdict INCONCLUSIVE.
+    0: success (including verdict NOT_INJECTIVE, --help and --version);
+    1: usage or computation error; 2: certify verdict INCONCLUSIVE.  All
+    output goes to `stdout` and `stderr`.
     """
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
     try:
-        args = _parser().parse_args(argv)
+        with contextlib.redirect_stdout(out):  # where --help and --version print
+            args = _parser().parse_args(argv)
         order_cap, generator_limit = _limits()
         G = parse_group(args.group, order_cap) if "group" in args else None
         qp = validate_prime_power(args.q) if "q" in args else None
@@ -286,6 +289,8 @@ def run(argv, stdout=None, stderr=None) -> int:
     except GroupKError as exc:
         print(f"error: {exc}", file=err)
         return 1
+    except SystemExit as exc:  # raised by parse_args after --help or --version
+        return exc.code
 
 
 def main():

@@ -27,21 +27,17 @@ from .resolution import DEFAULT_GENERATOR_LIMIT, resolution_homology_sequence
 DEFAULT_DEGREE_CAP = 4
 
 
-def bar_basis_dimension(G: FiniteGroup, n: int) -> int:
-    return (G.order - 1) ** n
-
-
 def _capped(n: int, degree_cap: int) -> int:
     if n > degree_cap:
         raise TooLarge(f"degree {n} exceeds the degree cap {degree_cap}")
     return n
 
 
-def _check_guards(G, n, degree_cap, generator_limit):
-    _capped(n, degree_cap)
-    if bar_basis_dimension(G, n) > generator_limit:
+def _check_guards(G, n, generator_limit):
+    generators = (G.order - 1) ** n
+    if generators > generator_limit:
         raise TooLarge(
-            f"bar basis in degree {n} has {bar_basis_dimension(G, n)} generators, "
+            f"bar basis in degree {n} has {generators} generators, "
             f"over the limit {generator_limit} (GROUPK_GENERATOR_LIMIT)"
         )
     # a degree-n generator is an n-tuple, so even one per degree (C1, C2) puts
@@ -59,14 +55,13 @@ def _check_request(G, top, generator_limit):
         raise ValueError("homology degree must be >= 0")
     if top > 0:
         for k in range(1, top + 2):
-            _check_guards(G, k, top + 1, generator_limit)
+            _check_guards(G, k, generator_limit)
 
 
 def bar_boundary(
     G: FiniteGroup,
     n: int,
     *,
-    degree_cap: int = DEFAULT_DEGREE_CAP,
     generator_limit: int = DEFAULT_GENERATOR_LIMIT,
 ) -> IntegerMatrix:
     """Boundary matrix from degree n to degree n-1 of the normalized bar complex.
@@ -78,8 +73,7 @@ def bar_boundary(
     """
     if n < 1:
         raise ValueError("boundary defined for degree >= 1")
-    # the (n+1)-st boundary is needed for H_n at the cap
-    _check_guards(G, n, degree_cap + 1, generator_limit)
+    _check_guards(G, n, generator_limit)
     nonid = range(1, G.order)
     lower = list(itertools.product(nonid, repeat=n - 1))
     lower_index = {t: k for k, t in enumerate(lower)}
@@ -127,11 +121,11 @@ def bar_homology_sequence(
     groups = []
     below, below_diagonal = IntegerMatrix.zero(0, 1), []  # d_0, the zero map
     for k in range(1, top + 2):
-        d = bar_boundary(G, k, degree_cap=top, generator_limit=generator_limit)
+        d = bar_boundary(G, k, generator_limit=generator_limit)
         check_complex(d, below)
         below = d  # frees d_{k-1} before d_k is reduced
         diagonal = intlinalg.smith_diagonal(d)
-        groups.append(homology_from_diagonals(bar_basis_dimension(G, k - 1), below_diagonal, diagonal))
+        groups.append(homology_from_diagonals(d.rows, below_diagonal, diagonal))
         below_diagonal = diagonal
     return groups
 

@@ -15,9 +15,7 @@ import heapq
 from dataclasses import dataclass
 
 from .abelian import FgAbelianGroup
-from .errors import NotAComplex, TooLarge
-
-DEFAULT_ENTRY_LIMIT = 10**6
+from .errors import NotAComplex
 
 
 class IntegerMatrix:
@@ -25,14 +23,9 @@ class IntegerMatrix:
 
     __slots__ = ("rows", "cols", "_data")
 
-    def __init__(self, rows, cols, entries=None, *, entry_limit=DEFAULT_ENTRY_LIMIT):
+    def __init__(self, rows, cols, entries=None):
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if entry_limit is not None and rows * cols > entry_limit:
-            raise TooLarge(
-                f"matrix with {rows}x{cols} = {rows * cols} entries exceeds the "
-                f"entry-count limit {entry_limit}"
-            )
         self.rows = rows
         self.cols = cols
         data: dict[int, dict[int, int]] = {}
@@ -56,7 +49,7 @@ class IntegerMatrix:
         return A
 
     @classmethod
-    def from_rows(cls, rows_list, *, entry_limit=DEFAULT_ENTRY_LIMIT):
+    def from_rows(cls, rows_list):
         nrows = len(rows_list)
         ncols = len(rows_list[0]) if nrows else 0
         entries = {}
@@ -66,11 +59,11 @@ class IntegerMatrix:
             for j, v in enumerate(row):
                 if v != 0:
                     entries[(i, j)] = v
-        return cls(nrows, ncols, entries, entry_limit=entry_limit)
+        return cls(nrows, ncols, entries)
 
     @classmethod
     def zero(cls, rows, cols):
-        return cls(rows, cols, entry_limit=None)
+        return cls(rows, cols)
 
     @classmethod
     def identity(cls, n):
@@ -325,7 +318,7 @@ def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
     diag = _dense_diagonal(mat, m, n)
 
     def block(rows, cols):
-        return IntegerMatrix.from_rows([r[cols] for r in rows], entry_limit=None)
+        return IntegerMatrix.from_rows([r[cols] for r in rows])
 
     return SmithDecomposition(
         U=block(mat[:m], slice(n, None)),

@@ -9,9 +9,7 @@ from groupk.assembly import (
     NonInjectivityCertificate,
     certify_noninjectivity,
     e2_page,
-    surviving_low_degree,
 )
-from groupk.errors import InsufficientDegrees
 from groupk.groups import cyclic, direct_product, symmetric
 from groupk.kfield import k_finite_field, validate_prime_power
 
@@ -54,25 +52,6 @@ class TestE2Page:
         page = cells(e2_page(cyclic(1), Q5, 2))
         assert page[2, 0] == trivial
         assert page[0, 1] == FgAbelianGroup.cyclic(4)
-
-
-class TestSurvivingLowDegree:
-    def test_positions(self):
-        page = e2_page(C2xC2, Q5, 3)
-        terms = surviving_low_degree(page)
-        assert [(t.p, t.q) for t in terms] == [(0, 0), (1, 0), (0, 1), (2, 0)]
-        assert all(t.justification.startswith("cited:") for t in terms)
-
-    def test_trivial_group_same_positions(self):
-        page = e2_page(cyclic(1), Q5, 2)
-        terms = surviving_low_degree(page)
-        assert [(t.p, t.q) for t in terms] == [(0, 0), (1, 0), (0, 1), (2, 0)]
-        assert cells(page)[2, 0] == trivial
-
-    def test_insufficient_degree(self):
-        page = e2_page(C2xC2, Q5, 1)
-        with pytest.raises(InsufficientDegrees):
-            surviving_low_degree(page)
 
 
 class TestCertificate:

@@ -100,6 +100,18 @@ class TestExitCodes:
         code, _, err = invoke(["certify", "--group", "C2xC2"])
         assert code == 1
 
+    @pytest.mark.parametrize("argv, start", [
+        (["--version"], "groupk 0.1.0\n"), (["certify", "--help"], "usage: groupk certify"),
+    ], ids=["version", "help"])
+    def test_version_and_help_write_to_the_given_stream(self, argv, start, capsys):
+        code, out, err = invoke(argv)
+        assert capsys.readouterr() == ("", "")
+        assert (code, out[:len(start)], err) == (0, start, "")
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(groupk.__file__))}
+        fresh = subprocess.run([sys.executable, "-m", "groupk", *argv], env=env,
+                               capture_output=True, text=True, timeout=60)
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == (code, out, err)
+
 
 class TestInputErrors:
     @pytest.mark.parametrize("argv", [

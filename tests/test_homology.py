@@ -31,6 +31,7 @@ from groupk.homology import (
 )
 from groupk.intlinalg import IntegerMatrix, homology_of_pair
 from oracles import accepted_top
+from test_groups import pinned_groups
 
 Z = FgAbelianGroup.free(1)
 trivial = FgAbelianGroup.trivial()
@@ -73,6 +74,13 @@ class TestBarBoundary:
         with pytest.raises(TooLarge, match="degree 5 squared is 25"):
             integral_homology(cyclic(1), 4, generator_limit=24)
 
+    def test_degree_bounded_by_generator_limit_alone(self):
+        # no separate degree cap: the bar count and n^2 are the only bounds
+        assert bar_boundary(cyclic(2), 6).to_rows() == [[2]]
+        with pytest.raises(TooLarge, match=r"^bar basis in degree 6 has 64 generators, "
+                                           r"over the limit 63 \(GROUPK_GENERATOR_LIMIT\)$"):
+            bar_boundary(cyclic(3), 6, generator_limit=63)
+
 
 class TestIntegralHomology:
     def test_h0_is_z(self):
@@ -99,8 +107,9 @@ class TestIntegralHomology:
         assert integral_homology(cyclic(2), 5, degree_cap=5) == C(2)
 
     def test_h1_equals_abelianization(self):
-        for g in [cyclic(6), symmetric(3), symmetric(4), dihedral(4),
-                  direct_product(cyclic(2), cyclic(4))]:
+        groups = [g for g in pinned_groups() if g.order <= 24]  # C6, S3, S4, D4, C2xC4, ...
+        assert len(groups) == 138
+        for g in groups:
             assert integral_homology(g, 1) == abelianization(g)
 
     @settings(deadline=None)
@@ -108,7 +117,7 @@ class TestIntegralHomology:
         lambda k: st.lists(st.permutations(range(k)), min_size=1, max_size=3)
     ))
     def test_h1_equals_abelianization_on_random_closures(self, gens):
-        # bar d_1 and d_2 on one side, G/[G,G] and its Smith presentation on the other
+        # the resolution on one side, the presentation on G's elements on the other
         try:
             g = permutation_closure(gens)
         except TooLarge:

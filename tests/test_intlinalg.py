@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from groupk import intlinalg
 from groupk.abelian import FgAbelianGroup
-from groupk.errors import NotAComplex, TooLarge
+from groupk.errors import NotAComplex
 from groupk.groups import cyclic, dihedral, direct_product, permutation_closure, symmetric
 from groupk.homology import bar_boundary
 from groupk.intlinalg import (
@@ -192,7 +192,7 @@ class TestRowStorage:
             A = bar_boundary(BUILDER_GROUPS[name], n)
             assert all(row and all(row.values()) for row in A._data.values())
             entries = {(i, j): v for i, row in enumerate(A.to_rows()) for j, v in enumerate(row)}
-            assert A == IntegerMatrix(A.rows, A.cols, entries, entry_limit=None)
+            assert A == IntegerMatrix(A.rows, A.cols, entries)
 
     @settings(deadline=None)
     @given(st.data())
@@ -234,11 +234,6 @@ class TestRank:
 
 
 class TestMatrixType:
-    def test_entry_limit(self):
-        with pytest.raises(TooLarge):
-            IntegerMatrix(2000, 2000, entry_limit=10**6)
-        IntegerMatrix(2000, 2000, entry_limit=None)  # explicit raise is allowed
-
     def test_out_of_range_entry(self):
         with pytest.raises(ValueError):
             IntegerMatrix(1, 1, {(1, 0): 3})
