@@ -213,7 +213,8 @@ def smith_diagonal(A: IntegerMatrix) -> list[int]:
     Unit pivots go first, by Markowitz's minimum-fill rule: a +-1 entry of
     least (row length - 1) * (column count - 1), found through a heap of row
     keys.  The dense routine finishes the rest; the phases agree as each unit
-    pivot splits off an invariant factor 1 by unimodular operations.
+    pivot splits off an invariant factor 1 by unimodular operations.  The
+    row scan is one plain loop, no tuple per entry: it is e2page's hot loop.
     """
     rows = {i: dict(row) for i, row in A._data.items()}  # reduced in place
     colcount: dict[int, int] = {}  # live entries per column: every score reads
@@ -229,10 +230,15 @@ def smith_diagonal(A: IntegerMatrix) -> list[int]:
     def best_unit(i):
         """(key, column) of row i's unit in its sparsest column, or None."""
         row = rows[i]
-        best = min(((colcount[j], j) for j, v in row.items() if v == 1 or v == -1), default=None)
-        if best is None:
+        bc, bj = A.rows + 1, -1  # least (colcount[j], j) over units; counts are <= A.rows
+        for j, v in row.items():
+            if v == 1 or v == -1:
+                c = colcount[j]
+                if c < bc or c == bc and j < bj:
+                    bc, bj = c, j
+        if bj < 0:
             return None
-        return ((len(row) - 1) * (best[0] - 1)) << s | i, best[1]
+        return ((len(row) - 1) * (bc - 1)) << s | i, bj
 
     heap = [kj[0] for kj in map(best_unit, rows) if kj is not None]
     heapq.heapify(heap)
