@@ -3,7 +3,7 @@ injectivity of the assembly map for finite groups over finite fields."""
 
 __version__ = "0.1.0"
 
-from .abelian import FgAbelianGroup, direct_sum, from_presentation, tensor, tor_product
+from .abelian import FgAbelianGroup, from_presentation, tensor, tor_product
 from .errors import (
     GroupKError,
     InsufficientDegrees,
@@ -28,11 +28,10 @@ from .groups import (
     permutation_closure,
     symmetric,
 )
-from .intlinalg import IntegerMatrix, SmithDecomposition, homology_of_pair, rank, smith_normal_form
+from .intlinalg import IntegerMatrix, SmithDecomposition, homology_of_pair, smith_normal_form
 from .homology import (
     bar_boundary,
     cyclic_homology_oracle,
-    homology_with_coefficients,
     integral_homology,
     integral_homology_sequence,
     kunneth_oracle,

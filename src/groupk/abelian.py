@@ -105,10 +105,6 @@ def from_presentation(relations) -> FgAbelianGroup:
     return intlinalg.homology_from_diagonals(relations.cols, (), intlinalg.smith_diagonal(relations))
 
 
-def direct_sum(a: FgAbelianGroup, b: FgAbelianGroup) -> FgAbelianGroup:
-    return direct_sum_all((a, b))
-
-
 def direct_sum_all(groups) -> FgAbelianGroup:
     free = 0
     orders: list[int] = []

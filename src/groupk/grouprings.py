@@ -15,7 +15,7 @@ from typing import ClassVar
 from .abelian import FgAbelianGroup, direct_sum_all
 from .errors import NotAbelian, NotSemisimple
 from .groups import FiniteGroup, conjugacy_classes
-from .kfield import PrimePower
+from .kfield import PrimePower, k_finite_field
 
 
 @dataclass(frozen=True)
@@ -96,8 +96,8 @@ def k_group_ring(G: FiniteGroup, q: PrimePower, n: int) -> FgAbelianGroup:
     """K_n(F_q[G]) for semisimple F_q[G].
 
     Morita invariance reduces each matrix component to its field, so even
-    positive and all negative degrees vanish, K_0 is Z^d, and K_(2i-1) is
-    the sum of Z/(q^(i f) - 1) over the component field degrees f.
+    positive and all negative degrees vanish, K_0 is Z^d, and odd K_n is
+    the sum of K_n(F_(q^f)) over the component field degrees f.
     """
     _require_semisimple(G, q)
     if n < 0:
@@ -106,8 +106,7 @@ def k_group_ring(G: FiniteGroup, q: PrimePower, n: int) -> FgAbelianGroup:
         return FgAbelianGroup.free(component_count(G, q))
     if n % 2 == 0:
         return FgAbelianGroup.trivial()
-    i = (n + 1) // 2
-    degrees = wedderburn_summary(G, q).field_degrees
     return direct_sum_all(
-        FgAbelianGroup.cyclic(q.q ** (i * f) - 1) for f in degrees
+        k_finite_field(PrimePower(q.q**f, q.p, q.e * f), n)
+        for f in wedderburn_summary(G, q).field_degrees
     )

@@ -75,13 +75,10 @@ def bar_boundary(
         raise ValueError("boundary defined for degree >= 1")
     _check_guards(G, n, generator_limit)
     nonid = range(1, G.order)
-    lower = list(itertools.product(nonid, repeat=n - 1))
-    lower_index = {t: k for k, t in enumerate(lower)}
+    lower_index = {t: k for k, t in enumerate(itertools.product(nonid, repeat=n - 1))}
     rows: dict[int, dict[int, int]] = {}
 
     def add(row_tuple, col, sign):
-        if 0 in row_tuple:
-            return  # normalization: faces through the identity vanish
         r = lower_index[row_tuple]
         row = rows.setdefault(r, {})
         v = row.get(col, 0) + sign
@@ -96,11 +93,12 @@ def bar_boundary(
         add(g[1:], col, 1)
         sign = -1
         for i in range(n - 1):
-            merged = g[:i] + (G.mul(g[i], g[i + 1]),) + g[i + 2:]
-            add(merged, col, sign)
+            h = G.mul(g[i], g[i + 1])
+            if h:  # normalization: a face through the identity (index 0) vanishes
+                add(g[:i] + (h,) + g[i + 2:], col, sign)
             sign = -sign
         add(g[:-1], col, sign)
-    return IntegerMatrix.from_row_dicts(len(lower), (G.order - 1) ** n, rows)
+    return IntegerMatrix.from_row_dicts((G.order - 1) ** (n - 1), (G.order - 1) ** n, rows)
 
 
 def bar_homology_sequence(
@@ -168,21 +166,6 @@ def universal_coefficients(hs, n: int, coefficients: FgAbelianGroup) -> FgAbelia
     if n >= 1:
         part = direct_sum_all([part, tor_product(hs[n - 1], coefficients)])
     return part
-
-
-def homology_with_coefficients(
-    G: FiniteGroup,
-    n: int,
-    coefficients: FgAbelianGroup,
-    *,
-    degree_cap: int = DEFAULT_DEGREE_CAP,
-    generator_limit: int = DEFAULT_GENERATOR_LIMIT,
-) -> FgAbelianGroup:
-    """H_n(G; A) for trivially acted-on A; no boundary is built when A = 0."""
-    if coefficients.is_trivial():
-        return FgAbelianGroup.trivial()
-    hs = integral_homology_sequence(G, _capped(n, degree_cap), generator_limit=generator_limit)
-    return universal_coefficients(hs, n, coefficients)
 
 
 def cyclic_homology_oracle(m: int, n: int) -> FgAbelianGroup:

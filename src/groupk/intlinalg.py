@@ -307,10 +307,6 @@ def smith_diagonal(A: IntegerMatrix) -> list[int]:
     return diag
 
 
-def rank(A: IntegerMatrix) -> int:
-    return sum(1 for d in smith_diagonal(A) if d != 0)
-
-
 def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
     """Full Smith decomposition U @ A @ V = D with unimodular U, V.
 

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from groupk.abelian import (
     FgAbelianGroup,
-    direct_sum,
     direct_sum_all,
     from_presentation,
     tensor,
@@ -133,9 +132,9 @@ small_groups = st.builds(
 
 class TestOperations:
     def test_direct_sum_examples(self):
-        assert direct_sum(Z, Z) == FgAbelianGroup.free(2)
-        assert direct_sum(C(2), C(4)) == FgAbelianGroup(0, (2, 4))
-        assert direct_sum(C(2), C(3)) == C(6)
+        assert direct_sum_all((Z, Z)) == FgAbelianGroup.free(2)
+        assert direct_sum_all((C(2), C(4))) == FgAbelianGroup(0, (2, 4))
+        assert direct_sum_all((C(2), C(3))) == C(6)
 
     def test_tensor_examples(self):
         assert tensor(Z, C(5)) == C(5)
@@ -149,11 +148,11 @@ class TestOperations:
 
     @given(small_groups, small_groups)
     def test_direct_sum_commutes(self, a, b):
-        assert direct_sum(a, b) == direct_sum(b, a)
+        assert direct_sum_all((a, b)) == direct_sum_all((b, a))
 
     @given(small_groups, small_groups, small_groups)
     def test_direct_sum_associates(self, a, b, c):
-        assert direct_sum(direct_sum(a, b), c) == direct_sum(a, direct_sum(b, c))
+        assert direct_sum_all((direct_sum_all((a, b)), c)) == direct_sum_all((a, direct_sum_all((b, c))))
 
     @given(small_groups, small_groups)
     def test_tensor_symmetric(self, a, b):
@@ -165,12 +164,12 @@ class TestOperations:
 
     @given(small_groups, small_groups, small_groups)
     def test_tensor_additive(self, a, b, c):
-        assert tensor(direct_sum(a, b), c) == direct_sum(tensor(a, c), tensor(b, c))
+        assert tensor(direct_sum_all((a, b)), c) == direct_sum_all((tensor(a, c), tensor(b, c)))
 
     @given(small_groups, small_groups, small_groups)
     def test_tor_additive(self, a, b, c):
-        assert tor_product(direct_sum(a, b), c) == direct_sum(
-            tor_product(a, c), tor_product(b, c)
+        assert tor_product(direct_sum_all((a, b)), c) == direct_sum_all(
+            (tor_product(a, c), tor_product(b, c))
         )
 
     def test_direct_sum_all(self):

@@ -1,10 +1,11 @@
 import math
+import sys
 
 import pytest
 
 from groupk.abelian import FgAbelianGroup
 from groupk.cli import parse_group
-from groupk.errors import NotAbelian, NotSemisimple
+from groupk.errors import NotAbelian, NotSemisimple, TooLarge
 from groupk.groups import conjugacy_classes, cyclic, dihedral, direct_product, symmetric
 from groupk.grouprings import (
     WedderburnSummary,
@@ -15,7 +16,7 @@ from groupk.grouprings import (
     k_group_ring,
     wedderburn_summary,
 )
-from groupk.kfield import validate_prime_power
+from groupk.kfield import k_finite_field, validate_prime_power
 
 from oracles import (
     centre_field_degrees,
@@ -170,6 +171,15 @@ class TestKGroupRing:
     def test_not_semisimple(self):
         with pytest.raises(NotSemisimple):
             k_group_ring(C2xC2, Q2, 0)
+
+    def test_order_over_digit_limit(self, monkeypatch):
+        # F_2[C3] = F_2 x F_4; K_30001 of each has an order over 4300 digits,
+        # so the group ring refuses it as its components do
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+        with pytest.raises(TooLarge):
+            k_finite_field(validate_prime_power(4), 30001)
+        with pytest.raises(TooLarge):
+            k_group_ring(cyclic(3), validate_prime_power(2), 30001)
 
     def test_vanishing_ranges(self):
         for name, g in ABELIAN_TEST_GROUPS:

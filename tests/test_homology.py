@@ -24,10 +24,10 @@ from groupk.homology import (
     clear_homology_cache,
     cyclic_homology_oracle,
     cyclic_homology_sequence,
-    homology_with_coefficients,
     integral_homology,
     integral_homology_sequence,
     kunneth_oracle,
+    universal_coefficients,
 )
 from groupk.intlinalg import IntegerMatrix, homology_of_pair
 from oracles import accepted_top
@@ -305,17 +305,17 @@ class TestKunnethOracle:
 class TestCoefficients:
     def test_equals_integral_for_z(self):
         g = direct_product(cyclic(2), cyclic(2))
-        assert homology_with_coefficients(g, 2, Z) == C(2)
+        assert universal_coefficients(integral_homology_sequence(g, 2), 2, Z) == C(2)
 
     def test_c2xc2_degree1_mod4(self):
         g = direct_product(cyclic(2), cyclic(2))
-        assert homology_with_coefficients(g, 1, C(4)) == FgAbelianGroup(0, (2, 2))
+        assert universal_coefficients(integral_homology_sequence(g, 1), 1, C(4)) == FgAbelianGroup(0, (2, 2))
 
     def test_degree0_gives_coefficients(self):
         coeffs = [Z, C(2), C(12), FgAbelianGroup(1, (3,))]
         for g in [cyclic(3), symmetric(3), dihedral(3)]:
             for a in coeffs:
-                assert homology_with_coefficients(g, 0, a) == a
+                assert universal_coefficients(integral_homology_sequence(g, 0), 0, a) == a
 
     def test_trivial_coefficients(self):
-        assert homology_with_coefficients(symmetric(3), 2, trivial) == trivial
+        assert universal_coefficients(integral_homology_sequence(symmetric(3), 2), 2, trivial) == trivial
